@@ -24,11 +24,12 @@
 // runs for ~`--seconds` wall time but always at least one round.
 //
 // Two columns added with the sparse alive-set engine:
-//   * counting-sparse vs counting-dense — the same scenarios with and
-//     without the alive-set law, at small k (sparse must not be slower)
-//     and at k = --sparse-slots with --sparse-alive alive opinions (the
-//     k ≈ n plurality regime, where sparse is the whole point);
-//   * hmaj-enum:T — h-majority outcome_distribution throughput for
+//   * counting-sparse vs counting-dense — 3-majority with and without the
+//     alive-set law (dense = the O(k) step_counts closed form), at small
+//     k (sparse must not be slower) and at k = --sparse-slots with
+//     --sparse-alive alive opinions (the k ≈ n plurality regime, where
+//     sparse is the whole point);
+//   * hmaj-enum:T — h-majority alive-law throughput for
 //     h ∈ {7, 9, 11} with a 1-thread vs --enum-threads-wide engine pool
 //     (the pool also scales the enumeration budgets, so large h stays on
 //     the batched path instead of falling back per-vertex).
@@ -81,17 +82,13 @@
 //     degree-class engine's shared-q accumulation (one saxpy + one law
 //     assembly per power-law degree class per round).
 //   Schema 5 provenance: top-level `simd_isa` is the registry's active
-//   lane (CONSENSUS_SIMD pins it), rows carry the vector kernel they
-//   exercise in `kernel`, and `denormal_ftz` records whether the
-//   CONSENSUS_DENORMAL_FTZ=1 opt-in armed support::ScopedDenormalGuard
-//   (default off — FTZ/DAZ is excluded from every bit-identity contract).
+//   lane (CONSENSUS_SIMD pins it) and rows carry the vector kernel they
+//   exercise in `kernel`.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,7 +97,6 @@
 #include "consensus/core/async_engine.hpp"
 #include "consensus/core/mixture_sampler.hpp"
 #include "consensus/graph/degree_histogram.hpp"
-#include "consensus/support/denormals.hpp"
 #include "consensus/support/flags.hpp"
 #include "consensus/support/json.hpp"
 #include "consensus/support/simd_kernels.hpp"
@@ -182,16 +178,6 @@ int main(int argc, char** argv) {
   const std::string out_path =
       flags.get_string("out", "BENCH_perf_engines.json");
 
-  // Opt-in FTZ/DAZ for the whole run (CONSENSUS_DENORMAL_FTZ=1): recorded
-  // in the artifact so a flushed run can never masquerade as a
-  // bit-identity-contracted one. Default off — the kernels' determinism
-  // contract excludes denormal flushing.
-  const char* ftz_env = std::getenv("CONSENSUS_DENORMAL_FTZ");
-  const bool denormal_ftz =
-      ftz_env != nullptr && std::string_view(ftz_env) == "1";
-  std::optional<support::ScopedDenormalGuard> ftz_guard;
-  if (denormal_ftz) ftz_guard.emplace();
-
   std::vector<Measurement> results;
 
   // All engines come out of api::Simulation::make_engine — the bench only
@@ -242,14 +228,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- sparse alive-set path vs dense paths -----------------------------
+  // --- sparse alive-set path vs the dense closed form ------------------
   // Small k, full support: the sparse path must not be slower than the
-  // dense paths it shadows (CI gates on this pair).
-  for (const auto& name : {std::string("3-majority"), std::string("median"),
-                           std::string("h-majority:5")}) {
+  // step_counts closed form it shadows (CI gates on this pair).
+  {
     for (const bool dense : {false, true}) {
       api::ScenarioSpec spec;
-      spec.protocol = name;
+      spec.protocol = "3-majority";
       spec.n = 1000000;
       spec.k = k;
       spec.engine = api::EngineChoice::kCounting;
@@ -258,7 +243,7 @@ int main(int argc, char** argv) {
       const auto engine = sim.make_engine();
       support::Rng rng(5);
       results.push_back(measure(dense ? "counting-dense" : "counting-sparse",
-                                name, spec.n, k, seconds, [&] {
+                                spec.protocol, spec.n, k, seconds, [&] {
                                   engine->step(rng);
                                   *engine->mutable_configuration() =
                                       sim.initial_configuration();
@@ -669,11 +654,9 @@ int main(int argc, char** argv) {
   json.set("enum_threads", static_cast<std::uint64_t>(enum_threads));
   json.set("simd_available", support::simd_kernels_available());
   // Schema 5 provenance: the lane every vector-kernel call actually ran on
-  // (CONSENSUS_SIMD pins it; "scalar" on hardware without any lane), plus
-  // whether the FTZ/DAZ opt-in was armed for this run.
+  // (CONSENSUS_SIMD pins it; "scalar" on hardware without any lane).
   json.set("simd_isa",
            std::string(support::to_string(support::active_simd_isa())));
-  json.set("denormal_ftz", denormal_ftz);
   auto rows = support::Json::array();
   for (const auto& m : results) {
     auto row = support::Json::object();

@@ -24,11 +24,11 @@ namespace consensus::api {
 
 /// Which backend executes the scenario. `kAuto` lets the library pick the
 /// fastest valid engine (see resolve_engine for the rules). `kBlock` is
-/// the block-counting engine for annealed SBM topologies (kind "sbm"):
-/// one count vector per block, rounds independent of n. `kDegreeClass` is
-/// the degree-class counting engine for annealed configuration models
-/// (kind "configuration-model-annealed"): one count vector per degree
-/// class, rounds independent of n.
+/// the class-counting engine's SBM construction for annealed SBM
+/// topologies (kind "sbm"): one count vector per block, rounds
+/// independent of n. `kDegreeClass` is its degree-class construction for
+/// annealed configuration models (kind "configuration-model-annealed"):
+/// one count vector per degree class, rounds independent of n.
 enum class EngineChoice {
   kAuto, kCounting, kAgent, kAsync, kPairwise, kBlock, kDegreeClass
 };
@@ -59,7 +59,7 @@ struct InitSpec {
 /// instead of an edge list, and the engine auto-selection exploits it:
 ///   "sbm"                      annealed stochastic block model — no CSR is
 ///                              ever materialised; auto-routes to the
-///                              block-counting engine (O(B²·a) rounds).
+///                              block engine (O(B²·a) rounds).
 ///   "sbm-explicit"             one quenched SBM sample as an explicit CSR
 ///                              (agent engine; the reference chain).
 ///   "random-regular-implicit"  quenched d-out random graph with neighbours

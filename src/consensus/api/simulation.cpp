@@ -11,10 +11,9 @@
 
 #include "consensus/core/agent_engine.hpp"
 #include "consensus/core/async_engine.hpp"
-#include "consensus/core/block_engine.hpp"
 #include "consensus/core/checkpoint.hpp"
+#include "consensus/core/class_engine.hpp"
 #include "consensus/core/counting_engine.hpp"
-#include "consensus/core/degree_class_engine.hpp"
 #include "consensus/core/init.hpp"
 #include "consensus/core/pairwise_engine.hpp"
 #include "consensus/core/undecided.hpp"
@@ -250,9 +249,10 @@ std::unique_ptr<core::Engine> Simulation::make_engine() const {
           offsets, spec_.topology->intra_p, spec_.topology->inter_p);
       support::Rng rng(support::derive_seed(spec_.seed, kAssignStream));
       auto blocks =
-          core::BlockCountingEngine::split_shuffled(initial_, offsets, rng);
-      return std::make_unique<core::BlockCountingEngine>(
-          *protocol_, std::move(blocks), weights);
+          core::ClassCountingEngine::split_shuffled(initial_, offsets, rng);
+      return std::make_unique<core::ClassCountingEngine>(
+          core::ClassCountingEngine::sbm(*protocol_, std::move(blocks),
+                                         weights));
     }
     case EngineChoice::kDegreeClass: {
       // Same shuffled-split convention over the histogram's contiguous
@@ -263,9 +263,10 @@ std::unique_ptr<core::Engine> Simulation::make_engine() const {
       const auto offsets = hist.vertex_offsets();
       support::Rng rng(support::derive_seed(spec_.seed, kAssignStream));
       auto classes =
-          core::BlockCountingEngine::split_shuffled(initial_, offsets, rng);
-      return std::make_unique<core::DegreeClassCountingEngine>(
-          *protocol_, std::move(classes), hist.degrees);
+          core::ClassCountingEngine::split_shuffled(initial_, offsets, rng);
+      return std::make_unique<core::ClassCountingEngine>(
+          core::ClassCountingEngine::degree_classes(
+              *protocol_, std::move(classes), hist.degrees));
     }
     case EngineChoice::kAuto: break;  // resolve_engine never returns kAuto
   }

@@ -3,32 +3,10 @@
 #include <stdexcept>
 #include <vector>
 
+#include "consensus/core/mixture_sampler.hpp"
 #include "consensus/support/sampling.hpp"
 
 namespace consensus::core {
-
-namespace {
-
-/// OpinionSampler over a prebuilt alias table of the count vector: a random
-/// neighbour on K_n with self-loops is a uniformly random vertex, whose
-/// opinion is categorical with weights proportional to the counts.
-class CountSampler final : public OpinionSampler {
- public:
-  CountSampler(const support::AliasTable& table, std::size_t slots) noexcept
-      : table_(&table), slots_(slots) {}
-
-  Opinion sample(support::Rng& rng) override {
-    return static_cast<Opinion>(table_->sample(rng));
-  }
-
-  std::size_t num_slots() const noexcept override { return slots_; }
-
- private:
-  const support::AliasTable* table_;
-  std::size_t slots_;
-};
-
-}  // namespace
 
 CountingEngine::CountingEngine(const Protocol& protocol, Configuration initial,
                                std::uint64_t start_round)
@@ -89,54 +67,22 @@ bool CountingEngine::sparse_step(support::Rng& rng) {
 }
 
 void CountingEngine::generic_step(support::Rng& rng) {
+  // Per-vertex fallback. All vertices observe the round-(t−1)
+  // configuration (synchronous rule), and a random neighbour on K_n with
+  // self-loops is a uniformly random vertex, so one alias table over the
+  // counts serves the whole round.
   const std::size_t k = config_.num_opinions();
   const auto counts = config_.counts();
-
-  // Anonymous rules (the law ignores the holder's opinion): every vertex
-  // shares one outcome law, so the whole round is a single multinomial —
-  // and if that one law declines (over budget), so would every per-group
-  // call, so don't re-probe k times on the way to the fallback.
-  const bool anonymous = !protocol_->outcome_depends_on_current();
-  if (anonymous && protocol_->outcome_distribution(0, config_, probs_)) {
-    support::multinomial_into(rng, config_.num_vertices(), probs_, scratch_);
-    return;
+  weights_.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    weights_[i] = static_cast<double>(counts[i]);
   }
-
+  table_.rebuild(weights_);
+  MixtureSampler sampler(table_, k);
   scratch_.assign(k, 0);
-  bool table_ready = false;
-  // Availability is uniform across groups for a fixed configuration (see
-  // the outcome_distribution contract), so one decline ends the probing —
-  // a declining protocol must not be re-asked once per group.
-  bool try_batched = !anonymous;
-  for (std::size_t c = 0; c < k; ++c) {
-    const std::uint64_t members = counts[c];
-    if (members == 0) continue;
-
-    // Group-batched path: one multinomial for all `members` vertices.
-    if (try_batched && protocol_->outcome_distribution(static_cast<Opinion>(c),
-                                                       config_, probs_)) {
-      support::multinomial_into(rng, members, probs_, group_out_);
-      for (std::size_t j = 0; j < k; ++j) scratch_[j] += group_out_[j];
-      continue;
-    }
-    try_batched = false;
-
-    // Per-vertex fallback. All vertices observe the round-(t−1)
-    // configuration (synchronous rule), so one alias table serves the
-    // whole round; it is built lazily so batched rounds never pay for it.
-    if (!table_ready) {
-      weights_.resize(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        weights_[i] = static_cast<double>(counts[i]);
-      }
-      table_.rebuild(weights_);
-      table_ready = true;
-    }
-    CountSampler sampler(table_, k);
-    for (std::uint64_t v = 0; v < members; ++v) {
-      const Opinion next =
-          protocol_->update(static_cast<Opinion>(c), sampler, rng);
-      ++scratch_[next];
+  for (const Opinion c : config_.alive()) {
+    for (std::uint64_t v = 0; v < counts[c]; ++v) {
+      ++scratch_[protocol_->update(c, sampler, rng)];
     }
   }
 }

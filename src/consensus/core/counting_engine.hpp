@@ -1,7 +1,7 @@
 // CountingEngine: exact synchronous simulation on K_n with self-loops,
 // operating on the count vector only.
 //
-// Four paths, tried in order per round:
+// Three paths, tried in order per round:
 //
 //   1. Sparse alive-set path (`Protocol::outcome_distribution_alive`) —
 //      the one-round law is computed and the multinomials drawn over the
@@ -10,14 +10,8 @@
 //      independent of both n and the slot count k. This is what keeps
 //      k ≈ n sweeps fast once opinions start dying.
 //   2. `Protocol::step_counts` — full O(k) closed-form one-round law
-//      (3-Majority, 2-Choices, Voter, Undecided).
-//   3. `Protocol::outcome_distribution` — group-batched: the protocol
-//      reports the exact one-round law of a single vertex per opinion
-//      group, and the engine draws ONE multinomial per group (one for the
-//      whole population when the rule ignores the holder's opinion, e.g.
-//      h-Majority). Cost O(poly(k, h)) per round, independent of n — this
-//      is what unlocks n = 10^9 sweeps for h-Majority and Median.
-//   4. Per-vertex fallback: an alias table over the current counts is
+//      (3-Majority, 2-Choices, Voter, Undecided, 3-Majority-keep).
+//   3. Per-vertex fallback: an alias table over the current counts is
 //      built once per round and `Protocol::update` runs once per vertex —
 //      still exact, O(n · samples) per round, and it never materialises a
 //      per-vertex opinion array.
@@ -78,7 +72,7 @@ class CountingEngine final : public Engine {
   std::vector<std::uint64_t> scratch_;    // next counts under construction
   std::vector<std::uint64_t> group_out_;  // one group's multinomial draw
   std::vector<std::uint64_t> compact_;    // sparse path: next alive counts
-  std::vector<double> probs_;             // outcome_distribution output
+  std::vector<double> probs_;             // one group's alive law
   std::vector<double> weights_;           // alias-table build input
   support::AliasTable table_;             // per-vertex fallback sampler
 };

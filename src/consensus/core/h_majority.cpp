@@ -248,17 +248,6 @@ bool HMajority::outcome_distribution_mixture(Opinion current,
   return true;
 }
 
-bool HMajority::outcome_distribution(Opinion current, const Configuration& cur,
-                                     std::vector<double>& out) const {
-  (void)current;  // the rule ignores the holder's opinion
-  thread_local std::vector<double> compact;
-  if (!compute_alive_law(cur, compact)) return false;
-  const auto alive = cur.alive();
-  out.assign(cur.num_opinions(), 0.0);
-  for (std::size_t i = 0; i < alive.size(); ++i) out[alive[i]] = compact[i];
-  return true;
-}
-
 std::unique_ptr<Protocol> make_h_majority(unsigned h) {
   return std::make_unique<HMajority>(h);
 }

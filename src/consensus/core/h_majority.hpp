@@ -9,10 +9,10 @@
 // C(h+a-1, h) histograms of the h samples across the a alive opinions.
 // The law is computed ENTIRELY in compact alive space
 // (`outcome_distribution_alive`): O(C(h+a-1, h)·a) arithmetic touching no
-// extinct slot; the dense `outcome_distribution` is the same kernel
-// scattered back to k slots. The rule ignores the holder's opinion, so the
-// counting engine collapses the whole round into one Multinomial(n, ·)
-// draw.
+// extinct slot; the mixture law (`outcome_distribution_mixture`) runs the
+// same kernel over the positive support of q. The rule ignores the
+// holder's opinion, so the counting engine collapses the whole round into
+// one Multinomial(n, ·) draw.
 //
 // Above `kParallelThreshold` histograms the enumeration is split into
 // `kShards` contiguous colex-rank ranges (`for_each_composition_parallel`)
@@ -115,9 +115,6 @@ class HMajority final : public FusedProtocol<HMajority> {
 
   Opinion update(Opinion current, OpinionSampler& neighbors,
                  support::Rng& rng) const override;
-
-  bool outcome_distribution(Opinion current, const Configuration& cur,
-                            std::vector<double>& out) const override;
 
   bool outcome_distribution_alive(Opinion current, const Configuration& cur,
                                   std::vector<double>& out) const override;

@@ -5,52 +5,17 @@
 
 namespace consensus::core {
 
-bool MedianRule::outcome_distribution(Opinion current, const Configuration& cur,
-                                      std::vector<double>& out) const {
+bool MedianRule::outcome_distribution_alive(Opinion current,
+                                            const Configuration& cur,
+                                            std::vector<double>& out) const {
   // With a, b i.i.d. categorical(α), median(c, a, b) lands
   //   below c on m < c  iff max(a,b) = m:  F(m)² − F(m−1)²,
   //   above c on m > c  iff min(a,b) = m:  G(m)² − G(m+1)²,
   //   on c itself       with the remaining mass,
-  // where F is the CDF and G the survival function of α.
-  const std::size_t k = cur.num_opinions();
-  const double nd = static_cast<double>(cur.num_vertices());
-
-  // The batched round costs O(alive·k); the per-vertex fallback O(2n).
-  // Decline when batching would be the slower path (k ≈ n sweeps with many
-  // alive opinions). The O(k) support scan is paid once per round: the
-  // engine stops probing after the first decline.
-  const double batched_work = static_cast<double>(cur.support_size()) *
-                              static_cast<double>(k);
-  if (batched_work > 8.0 * nd) return false;
-
-  out.assign(k, 0.0);
-
-  double below = 0.0;  // F(m−1) entering iteration m
-  for (std::size_t m = 0; m < current; ++m) {
-    const double f = below + static_cast<double>(cur.counts()[m]) / nd;
-    out[m] = f * f - below * below;
-    below = f;
-  }
-  double above = 0.0;  // G(m+1) entering iteration m
-  for (std::size_t m = k - 1; m > current; --m) {
-    const double g = above + static_cast<double>(cur.counts()[m]) / nd;
-    out[m] = g * g - above * above;
-    above = g;
-  }
-  // P(stay) = 1 − P(both samples < c) − P(both samples > c); clamp so
-  // accumulated rounding on the two O(k) sums can never hand the
-  // multinomial a (tiny) negative weight.
-  out[current] = std::max(0.0, 1.0 - below * below - above * above);
-  return true;
-}
-
-bool MedianRule::outcome_distribution_alive(Opinion current,
-                                            const Configuration& cur,
-                                            std::vector<double>& out) const {
-  // Identical decomposition to the dense law, but F and G are accumulated
-  // over the alive index only — extinct slots contribute nothing to either
-  // CDF, so skipping them changes no value. alive() is sorted, so the
-  // prefix/suffix walks respect the opinion order.
+  // where F is the CDF and G the survival function of α. F and G are
+  // accumulated over the alive index only — extinct slots contribute
+  // nothing to either, so skipping them changes no value. alive() is
+  // sorted, so the prefix/suffix walks respect the opinion order.
   const auto alive = cur.alive();
   const std::size_t a = alive.size();
   const double nd = static_cast<double>(cur.num_vertices());
@@ -83,9 +48,9 @@ bool MedianRule::outcome_distribution_alive(Opinion current,
     out[pos] = g * g - above * above;
     above = g;
   }
-  // P(stay) = 1 − P(both samples < c) − P(both samples > c); clamped as in
-  // the dense law so rounding can never hand the multinomial a negative
-  // weight.
+  // P(stay) = 1 − P(both samples < c) − P(both samples > c); clamp so
+  // accumulated rounding on the two sums can never hand the multinomial a
+  // (tiny) negative weight.
   out[idx] = std::max(0.0, 1.0 - below * below - above * above);
   return true;
 }
@@ -94,9 +59,10 @@ bool MedianRule::outcome_distribution_mixture(Opinion current,
                                               std::span<const double> sampling,
                                               std::uint64_t n_hint,
                                               std::vector<double>& out) const {
-  // The dense CDF walk with F/G accumulated over the neighbour law q
-  // instead of the holder's own frequencies. O(k) per group — no budget
-  // gate: the block engine's group count is bounded by B·a, never n.
+  // The same CDF walk over all k slots, with F/G accumulated over the
+  // neighbour law q instead of the holder's own frequencies. O(k) per
+  // group — no budget gate: the class engine's group count is bounded by
+  // C·a, never n.
   (void)n_hint;
   const std::size_t k = sampling.size();
   out.assign(k, 0.0);

@@ -4,8 +4,9 @@
 // 2-Choices (the paper, §1.1). The one-round law depends on the holder's
 // opinion through an order statistic, so there is no O(k) `step_counts`
 // closed form — but per opinion *group* the law is a simple CDF computation
-// (`outcome_distribution`), so the counting engine draws one multinomial per
-// group: O(k²) per round, independent of n.
+// over the alive opinions (`outcome_distribution_alive`), so the counting
+// engine draws one multinomial per group: O(a²) per round, independent of
+// n.
 #pragma once
 
 #include "consensus/core/fused.hpp"
@@ -38,13 +39,10 @@ class MedianRule final : public FusedProtocol<MedianRule> {
     return update_from_draws(current, draws, rng);
   }
 
-  bool outcome_distribution(Opinion current, const Configuration& cur,
-                            std::vector<double>& out) const override;
-
-  /// Same CDF computation walked over the alive index only: O(a) per
-  /// group, O(a²) per round. Requires `current` to be alive (the engine
-  /// only asks about groups with members). Declines when the per-vertex
-  /// path is cheaper (a² > 8n).
+  /// CDF computation walked over the alive index: O(a) per group, O(a²)
+  /// per round. Requires `current` to be alive (the engine only asks about
+  /// groups with members). Declines when the per-vertex path is cheaper
+  /// (a² > 8n).
   bool outcome_distribution_alive(Opinion current, const Configuration& cur,
                                   std::vector<double>& out) const override;
 

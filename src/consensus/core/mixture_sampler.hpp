@@ -1,7 +1,8 @@
 // MixtureSampler: OpinionSampler over a prebuilt alias table of a mixture
 // law q — the per-vertex fallback's neighbour source for the count-space
 // engines (a random neighbour holds opinion j with probability q(j)).
-// Shared by BlockCountingEngine and DegreeClassCountingEngine; the
+// ClassCountingEngine builds the table over each class's mixture,
+// CountingEngine over the count vector itself (q = counts/n on K_n). The
 // non-virtual draw/draw_many serve the fused fallback groups
 // (FusedOps::mixture_group), the virtual sample override the reference
 // path — identical draw stream either way.
@@ -46,8 +47,8 @@ class MixtureSampler final : public OpinionSampler {
 /// simd registry: one mixture_sum_squares reduction (fixed 4-lane-strided
 /// order) plus one elementwise mixture_majority_map pass. `out` is resized
 /// to q.size(). Used by ThreeMajority::outcome_distribution_mixture — the
-/// per-destination probability assembly of the block/degree-class engines
-/// — and by the bench mix columns.
+/// per-class probability assembly of the class-counting engine — and by
+/// the bench mix columns.
 inline void assemble_majority_mixture(std::span<const double> q,
                                       std::vector<double>& out) {
   out.resize(q.size());

@@ -1,5 +1,7 @@
 #include "consensus/core/protocol.hpp"
 
+#include <charconv>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -32,8 +34,8 @@ class GenericOnly final : public Protocol {
 };
 
 /// Forwards everything EXCEPT outcome_distribution_alive (left at the
-/// base-class "no alive law" default), pinning the counting engine to the
-/// dense paths for sparse-vs-dense comparisons.
+/// base-class "no alive law" default), pinning the counting engine to
+/// step_counts for sparse-vs-dense comparisons.
 class DenseOnly final : public Protocol {
  public:
   explicit DenseOnly(std::unique_ptr<Protocol> inner)
@@ -50,10 +52,6 @@ class DenseOnly final : public Protocol {
   bool step_counts(const Configuration& cur, std::vector<std::uint64_t>& next,
                    support::Rng& rng) const override {
     return inner_->step_counts(cur, next, rng);
-  }
-  bool outcome_distribution(Opinion current, const Configuration& cur,
-                            std::vector<double>& out) const override {
-    return inner_->outcome_distribution(current, cur, out);
   }
   bool outcome_distribution_mixture(Opinion current,
                                     std::span<const double> sampling,
@@ -97,8 +95,22 @@ std::unique_ptr<Protocol> make_protocol(std::string_view name) {
   if (name == "median") return make_median_rule();
   if (name == "undecided") return make_undecided();
   if (name.starts_with("h-majority:")) {
-    const auto h = std::stoul(std::string(name.substr(11)));
-    return make_h_majority(static_cast<unsigned>(h));
+    // The whole suffix must be a decimal h >= 1 that fits `unsigned`: no
+    // sign, no trailing characters, no silent wrap-around into another h.
+    const std::string_view digits = name.substr(11);
+    unsigned h = 0;
+    const auto [end, ec] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), h);
+    if (digits.empty() || ec != std::errc() ||
+        end != digits.data() + digits.size() || h == 0) {
+      throw std::invalid_argument("make_protocol: bad h in '" +
+                                  std::string(name) +
+                                  "' (want h-majority:<h>, 1 <= h <= " +
+                                  std::to_string(
+                                      std::numeric_limits<unsigned>::max()) +
+                                  ")");
+    }
+    return make_h_majority(h);
   }
   throw std::invalid_argument("make_protocol: unknown protocol '" +
                               std::string(name) + "'");

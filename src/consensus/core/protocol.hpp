@@ -88,9 +88,8 @@ class Protocol {
   /// Exact one-round transition of the count vector on K_n + self-loops.
   /// Writes the next counts into `next` (sized like cur.counts()) and
   /// returns true; returns false if no closed form exists, in which case
-  /// the counting engine falls back to the generic per-group path (which
-  /// calls `update` once per vertex). Implementations must sample from the
-  /// exact synchronous one-round law.
+  /// the counting engine falls back to calling `update` once per vertex.
+  /// Implementations must sample from the exact synchronous one-round law.
   virtual bool step_counts(const Configuration& cur,
                            std::vector<std::uint64_t>& next,
                            support::Rng& rng) const {
@@ -100,43 +99,26 @@ class Protocol {
     return false;
   }
 
-  /// Exact one-round outcome law of a *single* vertex holding `current`:
-  /// writes P(next opinion = j | configuration) into `out` (resized to
-  /// cur.num_opinions()) and returns true. Returns false when no affordable
-  /// closed form exists for this configuration, in which case the counting
-  /// engine falls back to per-vertex `update` calls for that group.
-  ///
-  /// This is the group-batched middle path between `step_counts` (full O(k)
-  /// closed form) and the per-vertex fallback: the counting engine draws ONE
-  /// multinomial per opinion group from this law, so a round costs
-  /// O(poly(k, h)) independent of n. Implementations must produce exactly
-  /// the law of `update` (tests cross-validate with chi-square), and
-  /// availability must be uniform in `current` for a fixed configuration
-  /// (decline for every group or none): the engine stops probing a round's
-  /// remaining groups after the first decline.
-  virtual bool outcome_distribution(Opinion current, const Configuration& cur,
-                                    std::vector<double>& out) const {
-    (void)current;
-    (void)cur;
-    (void)out;
-    return false;
-  }
-
-  /// Compact-alive variant of `outcome_distribution`: writes the one-round
-  /// law of a vertex holding `current` over the ALIVE opinions only —
+  /// Exact one-round outcome law of a *single* vertex holding `current`,
+  /// over the ALIVE opinions only: writes
   /// out[i] = P(next opinion == cur.alive()[i]) — resized to
-  /// cur.alive().size(), and returns true. Opinions outside the alive set
+  /// cur.alive().size() — and returns true. Opinions outside the alive set
   /// have probability 0 by validity, so nothing is lost; what is gained is
   /// the cost model: implementations must run in poly(a, h) where
-  /// a = cur.support_size(), never O(k). The counting engine prefers this
-  /// path and commits rounds through Configuration::assign_alive_counts,
-  /// making a full round O(poly(a, h)) even when k ≈ n.
+  /// a = cur.support_size(), never O(k). The counting engine draws ONE
+  /// multinomial per alive group from this law (one for the whole
+  /// population when the rule ignores the holder's opinion) and commits
+  /// rounds through Configuration::assign_alive_counts, making a full
+  /// round O(poly(a, h)) even when k ≈ n. Implementations must produce
+  /// exactly the law of `update` (tests cross-validate with chi-square).
   ///
   /// Returns false when the protocol has no alive-law, when it is over
-  /// budget, or when the dense/closed-form path is cheaper for this
+  /// budget, or when the closed-form `step_counts` is cheaper for this
   /// configuration (e.g. a² > k for a per-group law with an O(k) closed
-  /// form). Availability must be uniform in `current` for a fixed
-  /// configuration, exactly like `outcome_distribution`.
+  /// form); the counting engine then tries `step_counts` and finally the
+  /// per-vertex fallback. Availability must be uniform in `current` for a
+  /// fixed configuration (decline for every group or none): the engine
+  /// stops probing a round's remaining groups after the first decline.
   virtual bool outcome_distribution_alive(Opinion current,
                                           const Configuration& cur,
                                           std::vector<double>& out) const {
@@ -146,7 +128,7 @@ class Protocol {
     return false;
   }
 
-  /// Mixture-law generalisation of `outcome_distribution`: the exact
+  /// Mixture-law generalisation of `outcome_distribution_alive`: the exact
   /// one-round outcome law of a vertex holding `current` whose neighbour
   /// opinions are i.i.d. draws from the given `sampling` distribution
   /// (sampling[j] = P(a random neighbour holds opinion j), summing to 1)
@@ -154,12 +136,12 @@ class Protocol {
   /// into `out` (resized to sampling.size()) and returns true; false when
   /// no affordable closed form exists for this sampling vector.
   ///
-  /// This is what the block-counting engine consumes: on an annealed SBM a
+  /// This is what the class-counting engine consumes: on an annealed SBM a
   /// block-b vertex sees the MIXTURE q_b = Σ_b' w(b,b')·(counts_b'/n_b'),
-  /// which is not any block's own count vector — so the PR-4 alive laws
-  /// (keyed on a Configuration) cannot express it, but every law that is a
+  /// which is not any block's own count vector — so the alive laws (keyed
+  /// on a Configuration) cannot express it, but every law that is a
   /// polynomial in the sampling frequencies generalises verbatim.
-  /// `n_hint` is the population the law will be applied to (the block
+  /// `n_hint` is the population the law will be applied to (the class
   /// size), used only for cost accounting against the per-vertex fallback
   /// (h-majority's budget comparison). Availability must be uniform in
   /// `current` for a fixed sampling vector, like the other law hooks.
@@ -213,17 +195,16 @@ std::unique_ptr<Protocol> make_undecided();
 /// Registry entry for sweeps: name → factory.
 std::unique_ptr<Protocol> make_protocol(std::string_view name);
 
-/// Wraps `inner` forwarding the local rule only — step_counts,
-/// outcome_distribution, and the alive variant stay hidden, forcing the
-/// counting engine onto the per-vertex fallback. Used by benches and
-/// cross-validation tests to pit the fast paths against the reference path
-/// of the same dynamic.
+/// Wraps `inner` forwarding the local rule only — step_counts and every
+/// law hook stay hidden, forcing the engines onto the per-vertex fallback.
+/// Used by benches and cross-validation tests to pit the fast paths
+/// against the reference path of the same dynamic.
 std::unique_ptr<Protocol> make_generic_only(std::unique_ptr<Protocol> inner);
 
-/// Wraps `inner` hiding ONLY `outcome_distribution_alive`, forcing the
-/// counting engine onto the dense closed-form/batched paths it used before
-/// the sparse alive-set representation existed. Diagnostic for benches
-/// (sparse-vs-dense columns) and equivalence tests.
+/// Wraps `inner` hiding ONLY `outcome_distribution_alive`, so the counting
+/// engine runs the O(k) closed form `step_counts` where the protocol has
+/// one (the per-vertex fallback where it does not). Diagnostic for
+/// benches (sparse-vs-dense columns) and equivalence tests.
 std::unique_ptr<Protocol> make_dense_only(std::unique_ptr<Protocol> inner);
 
 }  // namespace consensus::core

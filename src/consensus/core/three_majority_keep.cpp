@@ -51,29 +51,6 @@ bool ThreeMajorityKeep::step_counts(const Configuration& cur,
   return true;
 }
 
-bool ThreeMajorityKeep::outcome_distribution(Opinion current,
-                                             const Configuration& cur,
-                                             std::vector<double>& out) const {
-  // Same decomposition as step_counts, expressed as one vertex's law:
-  //   P(adopt j)   = α_j²(3 − 2α_j)                      for every j,
-  //   P(keep own)  = 1 − Σ_j α_j²(3 − 2α_j)   added onto slot `current`.
-  // The keep mass is where the law depends on the holder's opinion — the
-  // engine draws one multinomial per opinion group from this.
-  const auto nd = static_cast<double>(cur.num_vertices());
-  const std::size_t k = cur.num_opinions();
-  out.assign(k, 0.0);
-  double adopt_total = 0.0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const double a = static_cast<double>(cur.counts()[j]) / nd;
-    out[j] = a * a * (3.0 - 2.0 * a);
-    adopt_total += out[j];
-  }
-  // Clamp the keep mass: the adopt weights sum to 1 only at consensus, but
-  // floating-point summation may overshoot by an ulp.
-  out[current] += std::max(0.0, 1.0 - adopt_total);
-  return true;
-}
-
 bool ThreeMajorityKeep::outcome_distribution_alive(
     Opinion current, const Configuration& cur,
     std::vector<double>& out) const {
@@ -99,7 +76,11 @@ bool ThreeMajorityKeep::outcome_distribution_alive(
         "ThreeMajorityKeep::outcome_distribution_alive: current must be "
         "alive");
   }
-  // Clamp the keep mass exactly as in the dense law.
+  // Same decomposition as step_counts, as one vertex's law:
+  //   P(adopt j)  = α_j²(3 − 2α_j)                      for every j,
+  //   P(keep own) = 1 − Σ_j α_j²(3 − 2α_j)   added onto slot `current`.
+  // Clamp the keep mass: the adopt weights sum to 1 only at consensus, but
+  // floating-point summation may overshoot by an ulp.
   out[self] += std::max(0.0, 1.0 - adopt_total);
   return true;
 }

@@ -38,17 +38,10 @@ class ThreeMajorityKeep final : public FusedProtocol<ThreeMajorityKeep> {
   bool step_counts(const Configuration& cur, std::vector<std::uint64_t>& next,
                    support::Rng& rng) const override;
 
-  /// Current-dependent single-vertex law (the keep branch lands on the
-  /// holder's own opinion): the group-batched middle path for this rule,
-  /// O(k) per group. step_counts above is still the preferred full closed
-  /// form; this hook keeps the batched path exercised for keep-style rules
-  /// and serves engines that only consume per-group laws.
-  bool outcome_distribution(Opinion current, const Configuration& cur,
-                            std::vector<double>& out) const override;
-
-  /// Same law over the alive index: O(a) per group, O(a²) per round.
-  /// Declines when a² > k — there the O(k) step_counts closed form is the
-  /// cheaper exact path, and the engine falls through to it.
+  /// Current-dependent single-vertex law over the alive index (the keep
+  /// branch lands on the holder's own opinion): O(a) per group, O(a²) per
+  /// round. Declines when a² > k — there the O(k) step_counts closed form
+  /// is the cheaper exact path, and the engine falls through to it.
   bool outcome_distribution_alive(Opinion current, const Configuration& cur,
                                   std::vector<double>& out) const override;
 

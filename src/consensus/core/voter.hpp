@@ -36,7 +36,7 @@ class Voter final : public FusedProtocol<Voter> {
   bool outcome_distribution_alive(Opinion current, const Configuration& cur,
                                   std::vector<double>& out) const override;
 
-  /// Mixture law (block-counting engine): the outcome IS the neighbour
+  /// Mixture law (class-counting engine): the outcome IS the neighbour
   /// draw, so out = sampling verbatim.
   bool outcome_distribution_mixture(Opinion current,
                                     std::span<const double> sampling,

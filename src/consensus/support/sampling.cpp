@@ -346,9 +346,8 @@ void AliasTable::rebuild(std::span<const double> weights) {
   // threshold is exact: prob·2^53 is a power-of-two scaling (no rounding)
   // and m < prob·2^53 for the 53-bit uniform m = (r >> 11) iff
   // m < ceil(prob·2^53) — the very same acceptance set as uniform01().
-  eligible_single_draw_ = n <= 2048;
-  single_draw_ = eligible_single_draw_ && !force_two_draw_;
-  if (eligible_single_draw_) {
+  single_draw_ = n <= 2048;
+  if (single_draw_) {
     mask_ = std::bit_ceil(n) - 1;
     threshold_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {

@@ -24,8 +24,7 @@ namespace consensus::support {
 ///   1  original two-draw alias sampling
 ///   2  single-draw alias path for power-of-two table sizes <= 2048
 ///   3  fixed-point rejection extends the single-draw path to ALL table
-///      sizes <= 2048 (current; `AliasTable::set_force_two_draw` pins the
-///      v1 stream for legacy replay)
+///      sizes <= 2048 (current)
 /// core::EngineCheckpoint records this value on save and refuses to load
 /// under a different one — a version mismatch is a clear error instead of
 /// a silently divergent resumed trajectory.
@@ -204,8 +203,7 @@ void for_each_composition_parallel(ThreadPool* pool, unsigned h, std::size_t k,
 /// extension lifted the power-of-two restriction. Reproducibility is
 /// per-version: replay checkpoints with the binary that wrote them (the
 /// same caveat PR 4's pool-scaled budgets already carry, see
-/// h_majority.hpp). `set_force_two_draw(true)` keeps the legacy two-draw
-/// stream bit-available for replaying older trajectories.
+/// h_majority.hpp). Tables larger than 2048 slots keep the two-draw form.
 class AliasTable {
  public:
   AliasTable() = default;
@@ -216,20 +214,11 @@ class AliasTable {
   std::size_t size() const noexcept { return prob_.size(); }
   bool empty() const noexcept { return prob_.empty(); }
 
-  /// Pins the legacy two-draw sampling form (uniform_below + uniform01),
-  /// reproducing the RNG consumption of builds before the single-draw
-  /// path existed. Sticky across rebuilds; off by default.
-  void set_force_two_draw(bool force) noexcept {
-    force_two_draw_ = force;
-    single_draw_ = eligible_single_draw_ && !force;
-  }
-
   /// Draws an index in [0, size()) with probability proportional to its
   /// build-time weight. Consumes one 64-bit RNG word per rejection-loop
   /// iteration on the single-draw path (size <= 2048; exactly one word
   /// when size is a power of two), two draws otherwise — which path runs
-  /// is a deterministic function of size() and the two-draw override, so
-  /// streams stay reproducible.
+  /// is a deterministic function of size(), so streams stay reproducible.
   std::size_t sample(Rng& rng) const noexcept {
     if (single_draw_) {
       for (;;) {
@@ -256,8 +245,6 @@ class AliasTable {
   std::vector<std::uint64_t> threshold_;  // ceil(prob·2^53), single-draw path
   std::uint64_t mask_ = 0;     // bit_ceil(size) − 1 when single_draw_
   bool single_draw_ = false;
-  bool eligible_single_draw_ = false;  // size-based, ignoring the override
-  bool force_two_draw_ = false;
 };
 
 /// Alias sampler over an integer count vector whose per-round rebuild is

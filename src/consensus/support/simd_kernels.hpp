@@ -3,9 +3,9 @@
 //
 //   * accumulate_histogram_term — the h-majority composition integration
 //     (h_majority.cpp), a per-histogram O(a) weighted-product/argmax scan;
-//   * mixture_accumulate — the q += coeff·counts saxpy of the block and
-//     degree-class engines' phase-1 mixing (block_engine.cpp,
-//     degree_class_engine.cpp), the hot loop of the n = 10⁸ benches;
+//   * mixture_accumulate — the q += coeff·counts saxpy of the
+//     class-counting engine's phase-1 mixing (class_engine.cpp), the hot
+//     loop of the n = 10⁸ benches;
 //   * mixture_sum_squares / mixture_majority_map — the γ = Σ q² reduction
 //     and the out = q·((1+q)−γ) law assembly of the 3-majority mixture
 //     path (mixture_sampler.hpp / three_majority.cpp).
@@ -151,7 +151,7 @@ void accumulate_histogram_term_scalar(const double* w, std::size_t stride,
                                       double* acc);
 
 /// q[j] += coeff · double(counts[j]) for j = 0..k — the phase-1 mixing
-/// saxpy of the block/degree-class engines. Elementwise, so every lane is
+/// saxpy of the class-counting engine. Elementwise, so every lane is
 /// bit-identical to the mirror at any width; the uint64 → double
 /// conversion is correctly rounded on every lane (AVX2 uses the 2⁸⁴/2⁵²
 /// split, AVX-512 _mm512_cvtepu64_pd, NEON vcvtq_f64_u64). Adding

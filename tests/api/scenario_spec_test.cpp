@@ -94,6 +94,15 @@ TEST(ScenarioSpec, RejectsUnknownKeysAndKinds) {
   EXPECT_THROW(ScenarioSpec::from_json_text(R"({"protocol": "no-such"})"),
                std::invalid_argument);
   EXPECT_THROW(
+      ScenarioSpec::from_json_text(R"({"protocol": "h-majority:4294967299"})"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      ScenarioSpec::from_json_text(R"({"protocol": "h-majority:-1"})"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      ScenarioSpec::from_json_text(R"({"protocol": "h-majority:5x"})"),
+      std::invalid_argument);
+  EXPECT_THROW(
       ScenarioSpec::from_json_text(R"({"init": {"kind": "no-such"}})"),
       std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::from_json_text(

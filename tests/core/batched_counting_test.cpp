@@ -1,9 +1,12 @@
-// Cross-validation of the group-batched counting fast path:
+// Cross-validation of the group-batched counting fast path on full-support
+// starts (sparse_counting_test covers starts with extinct slots):
 //
-//  * chi-square: `Protocol::outcome_distribution` must be exactly the law
-//    of `Protocol::update` under i.i.d. categorical neighbour samples, per
-//    opinion group (h-Majority h = 3, 5 and the median rule);
-//  * h-majority:3's summed law must agree with 3-Majority's closed form;
+//  * chi-square: `Protocol::outcome_distribution_alive` must be exactly
+//    the law of `Protocol::update` under i.i.d. categorical neighbour
+//    samples, per opinion group (h-Majority h = 3, 5, the median rule,
+//    3-Majority-keep);
+//  * h-majority:3's law must agree with 3-Majority's closed form, and
+//    3-Majority-keep's summed group laws with its step_counts expectation;
 //  * engine level: the batched CountingEngine rounds must draw from the
 //    same one-round law as the per-vertex generic path (KS test);
 //  * the parallel AgentEngine must be seed-deterministic across thread
@@ -53,13 +56,27 @@ class ConfigSampler final : public OpinionSampler {
 constexpr double kChi2Crit[9] = {0.0,   15.14, 18.42, 21.11, 23.51,
                                  25.74, 27.86, 29.88, 31.83};
 
+/// The alive law of `group` scattered back to all k slots (extinct slots
+/// get probability 0).
+std::vector<double> alive_law_by_slot(const Protocol& protocol,
+                                      const Configuration& start,
+                                      Opinion group) {
+  std::vector<double> compact;
+  EXPECT_TRUE(protocol.outcome_distribution_alive(group, start, compact))
+      << protocol.name();
+  EXPECT_EQ(compact.size(), start.support_size()) << protocol.name();
+  std::vector<double> probs(start.num_opinions(), 0.0);
+  const auto alive = start.alive();
+  for (std::size_t i = 0; i < compact.size() && i < alive.size(); ++i) {
+    probs[alive[i]] = compact[i];
+  }
+  return probs;
+}
+
 void expect_group_law_matches_update(const Protocol& protocol,
                                      const Configuration& start,
                                      Opinion group, std::uint64_t seed) {
-  std::vector<double> probs;
-  ASSERT_TRUE(protocol.outcome_distribution(group, start, probs))
-      << protocol.name();
-  ASSERT_EQ(probs.size(), start.num_opinions());
+  const std::vector<double> probs = alive_law_by_slot(protocol, start, group);
   double total = 0.0;
   for (double p : probs) {
     EXPECT_GE(p, 0.0);
@@ -114,13 +131,26 @@ TEST(BatchedOutcomeLaw, MedianMatchesUpdateChiSquare) {
   }
 }
 
+/// 3-majority-keep offers its per-group law only where a² <= k (the O(k)
+/// step_counts closed form is cheaper otherwise): four alive opinions
+/// spread over k = 16 slots.
+Configuration keep_start(std::uint64_t c0, std::uint64_t c1, std::uint64_t c2,
+                         std::uint64_t c3) {
+  std::vector<std::uint64_t> counts(16, 0);
+  counts[0] = c0;
+  counts[5] = c1;
+  counts[9] = c2;
+  counts[14] = c3;
+  return Configuration(counts);
+}
+
 TEST(BatchedOutcomeLaw, ThreeMajorityKeepMatchesUpdateChiSquare) {
   // Current-DEPENDENT law (the keep branch lands on the holder's opinion):
   // every group has a different distribution, so check all of them.
-  const Configuration start({300, 120, 60, 20});
+  const Configuration start = keep_start(300, 120, 60, 20);
   const auto protocol = make_protocol("3-majority-keep");
   std::uint64_t seed = 0x3e3a;
-  for (Opinion group = 0; group < 4; ++group) {
+  for (const Opinion group : start.alive()) {
     expect_group_law_matches_update(*protocol, start, group, seed++);
   }
 }
@@ -128,13 +158,12 @@ TEST(BatchedOutcomeLaw, ThreeMajorityKeepMatchesUpdateChiSquare) {
 TEST(BatchedOutcomeLaw, ThreeMajorityKeepLawAgreesWithStepCounts) {
   // The summed per-group laws must reproduce step_counts' expected next
   // counts: E[next_j] = Σ_c count_c · q_c(j) = n·adopt_j + count_j·keep.
-  const Configuration start({250, 150, 80, 20});
+  const Configuration start = keep_start(250, 150, 80, 20);
   const auto protocol = make_protocol("3-majority-keep");
   const double n = static_cast<double>(start.num_vertices());
   std::vector<double> expected(start.num_opinions(), 0.0);
-  std::vector<double> probs;
-  for (Opinion c = 0; c < start.num_opinions(); ++c) {
-    ASSERT_TRUE(protocol->outcome_distribution(c, start, probs));
+  for (const Opinion c : start.alive()) {
+    const std::vector<double> probs = alive_law_by_slot(*protocol, start, c);
     for (std::size_t j = 0; j < probs.size(); ++j) {
       expected[j] += static_cast<double>(start.count(c)) * probs[j];
     }
@@ -163,8 +192,7 @@ TEST(BatchedOutcomeLaw, HMajority3EqualsThreeMajorityClosedForm) {
   // p_i = α_i(1 + α_i − γ); the two must agree to floating-point accuracy.
   const Configuration start({250, 150, 80, 20});
   const auto h3 = make_h_majority(3);
-  std::vector<double> probs;
-  ASSERT_TRUE(h3->outcome_distribution(0, start, probs));
+  const std::vector<double> probs = alive_law_by_slot(*h3, start, 0);
   const double gamma = start.gamma();
   for (std::size_t i = 0; i < start.num_opinions(); ++i) {
     const double alpha = start.alpha(static_cast<Opinion>(i));
@@ -173,13 +201,15 @@ TEST(BatchedOutcomeLaw, HMajority3EqualsThreeMajorityClosedForm) {
 }
 
 TEST(BatchedOutcomeLaw, ExtinctOpinionsStayExtinct) {
+  // The law has one entry per ALIVE opinion, so no mass can land on an
+  // extinct slot.
   const Configuration start({300, 0, 120, 0, 80});
   for (const char* name : {"h-majority:5", "median"}) {
     const auto protocol = make_protocol(name);
     std::vector<double> probs;
-    ASSERT_TRUE(protocol->outcome_distribution(0, start, probs)) << name;
-    EXPECT_EQ(probs[1], 0.0) << name;
-    EXPECT_EQ(probs[3], 0.0) << name;
+    ASSERT_TRUE(protocol->outcome_distribution_alive(0, start, probs))
+        << name;
+    EXPECT_EQ(probs.size(), 3u) << name;
   }
 }
 
@@ -189,7 +219,7 @@ TEST(BatchedOutcomeLaw, HMajorityDeclinesWhenCompositionsExplode) {
   const auto protocol = make_h_majority(5);
   const Configuration start = balanced(1 << 20, 1024);
   std::vector<double> probs;
-  EXPECT_FALSE(protocol->outcome_distribution(0, start, probs));
+  EXPECT_FALSE(protocol->outcome_distribution_alive(0, start, probs));
 }
 
 TEST(BatchedOutcomeLaw, HugeHDeclinesInsteadOfOverflowingFactorials) {
@@ -198,7 +228,7 @@ TEST(BatchedOutcomeLaw, HugeHDeclinesInsteadOfOverflowingFactorials) {
   const auto protocol = make_h_majority(180);
   const Configuration start({500, 500});
   std::vector<double> probs;
-  EXPECT_FALSE(protocol->outcome_distribution(0, start, probs));
+  EXPECT_FALSE(protocol->outcome_distribution_alive(0, start, probs));
 }
 
 TEST(BatchedCountingEngine, OneRoundLawMatchesGenericPath) {

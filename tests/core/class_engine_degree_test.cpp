@@ -1,10 +1,11 @@
-// DegreeClassCountingEngine: the count-space simulation of the ANNEALED
-// configuration model. Cross-validated against the agent engine running
-// the SAME chain on graph::Graph::implicit_configuration_model_annealed —
-// the two are different samplers of one Markov kernel, so one-round
-// moments and full distributions must match. (The quenched stub-matching
-// chain is a different kernel; see docs/ENGINES.md.)
-#include "consensus/core/degree_class_engine.hpp"
+// ClassCountingEngine::degree_classes: the count-space simulation of the
+// ANNEALED configuration model. Cross-validated against the agent engine
+// running the SAME chain on
+// graph::Graph::implicit_configuration_model_annealed — the two are
+// different samplers of one Markov kernel, so one-round moments and full
+// distributions must match. (The quenched stub-matching chain is a
+// different kernel; see docs/ENGINES.md.)
+#include "consensus/core/class_engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "consensus/core/agent_engine.hpp"
-#include "consensus/core/block_engine.hpp"
 #include "consensus/core/init.hpp"
 #include "consensus/core/undecided.hpp"
 #include "consensus/graph/degree_histogram.hpp"
@@ -39,7 +39,7 @@ std::vector<Configuration> make_classes(const Configuration& total,
                                         const graph::DegreeHistogram& hist,
                                         std::uint64_t seed) {
   support::Rng rng(seed);
-  return BlockCountingEngine::split_shuffled(total, hist.vertex_offsets(),
+  return ClassCountingEngine::split_shuffled(total, hist.vertex_offsets(),
                                              rng);
 }
 
@@ -47,20 +47,20 @@ std::vector<Configuration> make_classes(const Configuration& total,
 
 TEST(DegreeClassEngine, ConstructorValidates) {
   const auto protocol = make_protocol("3-majority");
-  EXPECT_THROW(DegreeClassCountingEngine(*protocol, {}, {}),
+  EXPECT_THROW(ClassCountingEngine::degree_classes(*protocol, {}, {}),
                std::invalid_argument);  // no classes
   std::vector<Configuration> classes{Configuration({40, 40}),
                                      Configuration({10, 10})};
-  EXPECT_THROW(DegreeClassCountingEngine(*protocol, classes,
-                                         std::vector<std::uint64_t>{3}),
+  EXPECT_THROW(ClassCountingEngine::degree_classes(
+                   *protocol, classes, std::vector<std::uint64_t>{3}),
                std::invalid_argument);  // degree count != class count
-  EXPECT_THROW(DegreeClassCountingEngine(*protocol, classes,
-                                         std::vector<std::uint64_t>{3, 0}),
+  EXPECT_THROW(ClassCountingEngine::degree_classes(
+                   *protocol, classes, std::vector<std::uint64_t>{3, 0}),
                std::invalid_argument);  // zero degree
   std::vector<Configuration> mismatched{Configuration({10, 10}),
                                         Configuration({5, 5, 5})};
-  EXPECT_THROW(DegreeClassCountingEngine(*protocol, mismatched,
-                                         std::vector<std::uint64_t>{3, 8}),
+  EXPECT_THROW(ClassCountingEngine::degree_classes(
+                   *protocol, mismatched, std::vector<std::uint64_t>{3, 8}),
                std::invalid_argument);  // slot counts disagree
   // An empty class cannot even be expressed: Configuration itself
   // requires >= 1 vertex, so the engine never sees a zero-vertex class.
@@ -74,12 +74,11 @@ TEST(DegreeClassEngine, AggregateAndPopulationInvariants) {
   auto classes = make_classes(total, hist, 5);
   std::vector<std::uint64_t> sizes;
   for (const auto& c : classes) sizes.push_back(c.num_vertices());
-  DegreeClassCountingEngine engine(*protocol, std::move(classes),
-                                   hist.degrees);
+  auto engine = ClassCountingEngine::degree_classes(*protocol,
+                                                    std::move(classes),
+                                                    hist.degrees);
   EXPECT_EQ(engine.configuration().num_vertices(), 500u);
   EXPECT_EQ(engine.num_classes(), 3u);
-  EXPECT_EQ(engine.class_degree(0), 3u);
-  EXPECT_EQ(engine.class_degree(2), 40u);
   support::Rng rng(6);
   for (int r = 0; r < 30; ++r) {
     engine.step(rng);
@@ -87,10 +86,10 @@ TEST(DegreeClassEngine, AggregateAndPopulationInvariants) {
     EXPECT_EQ(cfg.num_vertices(), 500u);
     std::vector<std::uint64_t> agg(cfg.num_opinions(), 0);
     for (std::size_t c = 0; c < engine.num_classes(); ++c) {
-      EXPECT_EQ(engine.degree_class(c).num_vertices(), sizes[c])
+      EXPECT_EQ(engine.class_configuration(c).num_vertices(), sizes[c])
           << "class " << c;
       for (std::size_t j = 0; j < agg.size(); ++j) {
-        agg[j] += engine.degree_class(c).counts()[j];
+        agg[j] += engine.class_configuration(c).counts()[j];
       }
     }
     // The aggregate is kept incrementally; it must equal the class sum.
@@ -105,18 +104,20 @@ TEST(DegreeClassEngine, DeterministicInSeed) {
   const auto protocol = make_protocol("2-choices");
   const auto hist = test_hist();
   const Configuration total({300, 120, 60, 20});
-  DegreeClassCountingEngine a(*protocol, make_classes(total, hist, 9),
-                              hist.degrees);
-  DegreeClassCountingEngine b(*protocol, make_classes(total, hist, 9),
-                              hist.degrees);
+  auto a = ClassCountingEngine::degree_classes(*protocol,
+                                               make_classes(total, hist, 9),
+                                               hist.degrees);
+  auto b = ClassCountingEngine::degree_classes(*protocol,
+                                               make_classes(total, hist, 9),
+                                               hist.degrees);
   support::Rng rng_a(10), rng_b(10);
   for (int r = 0; r < 50; ++r) {
     a.step(rng_a);
     b.step(rng_b);
   }
   for (std::size_t c = 0; c < a.num_classes(); ++c) {
-    EXPECT_TRUE(std::ranges::equal(a.degree_class(c).counts(),
-                                   b.degree_class(c).counts()))
+    EXPECT_TRUE(std::ranges::equal(a.class_configuration(c).counts(),
+                                   b.class_configuration(c).counts()))
         << "class " << c;
   }
 }
@@ -145,9 +146,9 @@ TEST_P(DegreeVsAgentAnnealed, OneStepMomentsMatch) {
   support::Rng rng_a(0xa6e7);
   for (int t = 0; t < 4000; ++t) {
     auto classes =
-        BlockCountingEngine::split_shuffled(start, offsets, rng_d);
-    DegreeClassCountingEngine de(*protocol, std::move(classes),
-                                 hist.degrees);
+        ClassCountingEngine::split_shuffled(start, offsets, rng_d);
+    auto de = ClassCountingEngine::degree_classes(*protocol, std::move(classes),
+                                                  hist.degrees);
     de.step(rng_d);
     wd.add(de.configuration().alpha(0));
 
@@ -187,9 +188,9 @@ TEST(DegreeVsAgentAnnealedKS, FullOneStepDistributionMatches) {
   std::vector<double> degree, agent;
   for (int t = 0; t < 5000; ++t) {
     auto classes =
-        BlockCountingEngine::split_shuffled(start, offsets, rng_d);
-    DegreeClassCountingEngine de(*protocol, std::move(classes),
-                                 hist.degrees);
+        ClassCountingEngine::split_shuffled(start, offsets, rng_d);
+    auto de = ClassCountingEngine::degree_classes(*protocol, std::move(classes),
+                                                  hist.degrees);
     de.step(rng_d);
     degree.push_back(static_cast<double>(de.configuration().count(0)));
 
@@ -219,13 +220,15 @@ TEST(DegreeClassEngine, FallbackPathMatchesLawPath) {
   support::Rng rng_f(42);
   support::Welford wl, wf;
   for (int t = 0; t < 4000; ++t) {
-    auto cl = BlockCountingEngine::split_shuffled(start, offsets, rng_l);
-    DegreeClassCountingEngine el(*law, std::move(cl), hist.degrees);
+    auto cl = ClassCountingEngine::split_shuffled(start, offsets, rng_l);
+    auto el = ClassCountingEngine::degree_classes(*law, std::move(cl),
+                                                  hist.degrees);
     el.step(rng_l);
     wl.add(el.configuration().alpha(0));
 
-    auto cf = BlockCountingEngine::split_shuffled(start, offsets, rng_f);
-    DegreeClassCountingEngine ef(*fallback, std::move(cf), hist.degrees);
+    auto cf = ClassCountingEngine::split_shuffled(start, offsets, rng_f);
+    auto ef = ClassCountingEngine::degree_classes(*fallback, std::move(cf),
+                                                  hist.degrees);
     ef.step(rng_f);
     wf.add(ef.configuration().alpha(0));
   }
@@ -241,8 +244,8 @@ TEST(DegreeClassEngine, StateRoundTripReproducesTrajectory) {
   const auto protocol = make_protocol("2-choices");
   const auto hist = test_hist();
   const Configuration total({260, 120, 70, 50});
-  DegreeClassCountingEngine engine(*protocol, make_classes(total, hist, 7),
-                                   hist.degrees);
+  auto engine = ClassCountingEngine::degree_classes(
+      *protocol, make_classes(total, hist, 7), hist.degrees);
   support::Rng rng(51);
   for (int r = 0; r < 5; ++r) engine.step(rng);
   const EngineState state = engine.capture_state();
@@ -257,9 +260,8 @@ TEST(DegreeClassEngine, StateRoundTripReproducesTrajectory) {
   const auto final_counts = final_config.counts();
 
   // Restore into a sibling built from the same class shapes and replay.
-  DegreeClassCountingEngine restored(*protocol,
-                                     make_classes(total, hist, 7),
-                                     hist.degrees);
+  auto restored = ClassCountingEngine::degree_classes(
+      *protocol, make_classes(total, hist, 7), hist.degrees);
   restored.restore_state(state);
   EXPECT_EQ(restored.rounds_elapsed(), 5u);
   support::Rng rng2 = rng_snapshot;
@@ -278,8 +280,8 @@ TEST(DegreeClassEngine, RestoreRejectsForeignState) {
   hist.degrees = {2, 6};
   hist.class_sizes = {80, 20};
   const Configuration total({50, 50});
-  DegreeClassCountingEngine engine(*protocol, make_classes(total, hist, 8),
-                                   hist.degrees);
+  auto engine = ClassCountingEngine::degree_classes(
+      *protocol, make_classes(total, hist, 8), hist.degrees);
   EngineState wrong_kind = engine.capture_state();
   wrong_kind.kind = "block";
   EXPECT_THROW(engine.restore_state(wrong_kind), std::invalid_argument);
@@ -288,12 +290,35 @@ TEST(DegreeClassEngine, RestoreRejectsForeignState) {
   EXPECT_THROW(engine.restore_state(wrong_shape), std::invalid_argument);
 }
 
+TEST(DegreeClassEngine, BlockAndDegreeClassStatesAreNotInterchangeable) {
+  // Same class count, same k, so the flattened state shapes agree: only
+  // the kind tells a block state from a degree-class state.
+  const auto protocol = make_protocol("voter");
+  graph::DegreeHistogram hist;
+  hist.degrees = {2, 6};
+  hist.class_sizes = {50, 50};
+  const Configuration total({50, 50});
+  auto degree = ClassCountingEngine::degree_classes(
+      *protocol, make_classes(total, hist, 8), hist.degrees);
+  auto block = ClassCountingEngine::sbm(
+      *protocol, make_classes(total, hist, 8),
+      graph::sbm_block_weights(hist.vertex_offsets(), 0.5, 0.1));
+  const EngineState degree_state = degree.capture_state();
+  const EngineState block_state = block.capture_state();
+  ASSERT_EQ(degree_state.counts.size(), block_state.counts.size());
+  EXPECT_THROW(degree.restore_state(block_state), std::invalid_argument);
+  EXPECT_THROW(block.restore_state(degree_state), std::invalid_argument);
+  // Each still accepts its own kind.
+  EXPECT_NO_THROW(degree.restore_state(degree_state));
+  EXPECT_NO_THROW(block.restore_state(block_state));
+}
+
 TEST(DegreeClassEngine, ReachesConsensusOnHeterogeneousDegrees) {
   const auto protocol = make_protocol("3-majority");
   const auto hist = test_hist();
   const Configuration total({360, 90, 50});
-  DegreeClassCountingEngine engine(*protocol, make_classes(total, hist, 9),
-                                   hist.degrees);
+  auto engine = ClassCountingEngine::degree_classes(
+      *protocol, make_classes(total, hist, 9), hist.degrees);
   support::Rng rng(61);
   int rounds = 0;
   while (!engine.is_consensus() && rounds < 5000) {
@@ -318,10 +343,11 @@ TEST(DegreeClassEngine, HundredMillionVerticesWithoutACsr) {
   const auto protocol = make_protocol("3-majority");
   const Configuration start({60000000, 30000000, 10000000});
   support::Rng split_rng(71);
-  auto classes = BlockCountingEngine::split_shuffled(
+  auto classes = ClassCountingEngine::split_shuffled(
       start, hist.vertex_offsets(), split_rng);
-  DegreeClassCountingEngine engine(*protocol, std::move(classes),
-                                   hist.degrees);
+  auto engine = ClassCountingEngine::degree_classes(*protocol,
+                                                    std::move(classes),
+                                                    hist.degrees);
   support::Rng rng(72);
   for (int r = 0; r < 10; ++r) engine.step(rng);
   const auto cfg = engine.configuration();

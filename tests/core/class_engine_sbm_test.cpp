@@ -1,8 +1,8 @@
-// BlockCountingEngine: the count-space simulation of the annealed SBM.
+// ClassCountingEngine::sbm: the count-space simulation of the annealed SBM.
 // Cross-validated against the agent engine running the SAME chain on
 // graph::Graph::implicit_sbm — the two are different samplers of one
 // Markov kernel, so one-round moments and full distributions must match.
-#include "consensus/core/block_engine.hpp"
+#include "consensus/core/class_engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -28,7 +28,7 @@ std::vector<Configuration> make_blocks(const Configuration& total,
                                        std::uint64_t B, std::uint64_t seed) {
   const auto offsets = graph::sbm_block_offsets(total.num_vertices(), B);
   support::Rng rng(seed);
-  return BlockCountingEngine::split_shuffled(total, offsets, rng);
+  return ClassCountingEngine::split_shuffled(total, offsets, rng);
 }
 
 std::vector<double> make_weights(std::uint64_t n, std::uint64_t B) {
@@ -43,7 +43,7 @@ TEST(SplitShuffled, PreservesTotalsAndBlockSizes) {
   const auto offsets = graph::sbm_block_offsets(400, 3);
   support::Rng rng(1);
   const auto blocks =
-      BlockCountingEngine::split_shuffled(total, offsets, rng);
+      ClassCountingEngine::split_shuffled(total, offsets, rng);
   ASSERT_EQ(blocks.size(), 3u);
   std::vector<std::uint64_t> agg(total.num_opinions(), 0);
   for (std::size_t b = 0; b < blocks.size(); ++b) {
@@ -66,7 +66,7 @@ TEST(SplitShuffled, MatchesShuffleMarginal) {
   support::Rng rng(2);
   auto w = testing::monte_carlo(20000, [&] {
     const auto blocks =
-        BlockCountingEngine::split_shuffled(total, offsets, rng);
+        ClassCountingEngine::split_shuffled(total, offsets, rng);
     return static_cast<double>(blocks[0].counts()[0]);
   });
   EXPECT_TRUE(testing::mean_close(w, 300.0 * 150.0 / 600.0)) << w.mean();
@@ -75,10 +75,10 @@ TEST(SplitShuffled, MatchesShuffleMarginal) {
 TEST(SplitShuffled, RejectsBadOffsets) {
   const Configuration total({10, 10});
   support::Rng rng(3);
-  EXPECT_THROW(BlockCountingEngine::split_shuffled(
+  EXPECT_THROW(ClassCountingEngine::split_shuffled(
                    total, std::vector<std::uint64_t>{0, 10}, rng),
                std::invalid_argument);  // does not cover n = 20
-  EXPECT_THROW(BlockCountingEngine::split_shuffled(
+  EXPECT_THROW(ClassCountingEngine::split_shuffled(
                    total, std::vector<std::uint64_t>{20}, rng),
                std::invalid_argument);  // < 1 block
 }
@@ -89,21 +89,22 @@ TEST(BlockEngine, ConstructorValidates) {
   const auto protocol = make_protocol("3-majority");
   const Configuration total({40, 40, 20});
   auto blocks = make_blocks(total, 2, 4);
-  EXPECT_THROW(BlockCountingEngine(*protocol, {}, {}), std::invalid_argument);
+  EXPECT_THROW(ClassCountingEngine::sbm(*protocol, {}, {}),
+               std::invalid_argument);
   EXPECT_THROW(
-      BlockCountingEngine(*protocol, blocks, std::vector<double>{1.0}),
+      ClassCountingEngine::sbm(*protocol, blocks, std::vector<double>{1.0}),
       std::invalid_argument);  // not B x B
-  EXPECT_THROW(BlockCountingEngine(*protocol, blocks,
-                                   std::vector<double>{1.0, -1.0, 1.0, 1.0}),
+  EXPECT_THROW(ClassCountingEngine::sbm(
+                   *protocol, blocks, std::vector<double>{1.0, -1.0, 1.0, 1.0}),
                std::invalid_argument);  // negative mass
-  EXPECT_THROW(BlockCountingEngine(*protocol, blocks,
-                                   std::vector<double>{1.0, 0.0, 0.0, 0.0}),
+  EXPECT_THROW(ClassCountingEngine::sbm(
+                   *protocol, blocks, std::vector<double>{1.0, 0.0, 0.0, 0.0}),
                std::invalid_argument);  // row 1 has zero mass
   // Mismatched slot counts across blocks.
   std::vector<Configuration> bad{Configuration({10, 10}),
                                  Configuration({5, 5, 5})};
-  EXPECT_THROW(BlockCountingEngine(*protocol, bad,
-                                   std::vector<double>{1, 1, 1, 1}),
+  EXPECT_THROW(ClassCountingEngine::sbm(*protocol, bad,
+                                        std::vector<double>{1, 1, 1, 1}),
                std::invalid_argument);
 }
 
@@ -113,16 +114,17 @@ TEST(BlockEngine, AggregateAndPopulationInvariants) {
   auto blocks = make_blocks(total, 4, 5);
   std::vector<std::uint64_t> sizes;
   for (const auto& b : blocks) sizes.push_back(b.num_vertices());
-  BlockCountingEngine engine(*protocol, std::move(blocks),
-                             make_weights(400, 4));
+  auto engine = ClassCountingEngine::sbm(*protocol, std::move(blocks),
+                                         make_weights(400, 4));
   EXPECT_EQ(engine.configuration().num_vertices(), 400u);
   support::Rng rng(6);
   for (int r = 0; r < 30; ++r) {
     engine.step(rng);
     const auto cfg = engine.configuration();
     EXPECT_EQ(cfg.num_vertices(), 400u);
-    for (std::size_t b = 0; b < engine.num_blocks(); ++b) {
-      EXPECT_EQ(engine.block(b).num_vertices(), sizes[b]) << "block " << b;
+    for (std::size_t b = 0; b < engine.num_classes(); ++b) {
+      EXPECT_EQ(engine.class_configuration(b).num_vertices(), sizes[b])
+          << "block " << b;
     }
   }
   EXPECT_EQ(engine.rounds_elapsed(), 30u);
@@ -152,8 +154,8 @@ TEST_P(BlockVsAgentSbm, OneStepMomentsMatch) {
   support::Rng rng_b(0xb10c);
   support::Rng rng_a(0xa6e7);
   for (int t = 0; t < 4000; ++t) {
-    auto blocks = BlockCountingEngine::split_shuffled(start, offsets, rng_b);
-    BlockCountingEngine be(*protocol, std::move(blocks), weights);
+    auto blocks = ClassCountingEngine::split_shuffled(start, offsets, rng_b);
+    auto be = ClassCountingEngine::sbm(*protocol, std::move(blocks), weights);
     be.step(rng_b);
     wb.add(be.configuration().alpha(0));
 
@@ -190,8 +192,8 @@ TEST(BlockVsAgentSbmKS, FullOneStepDistributionMatches) {
   support::Rng rng_a(32);
   std::vector<double> block, agent;
   for (int t = 0; t < 5000; ++t) {
-    auto blocks = BlockCountingEngine::split_shuffled(start, offsets, rng_b);
-    BlockCountingEngine be(*protocol, std::move(blocks), weights);
+    auto blocks = ClassCountingEngine::split_shuffled(start, offsets, rng_b);
+    auto be = ClassCountingEngine::sbm(*protocol, std::move(blocks), weights);
     be.step(rng_b);
     block.push_back(static_cast<double>(be.configuration().count(0)));
 
@@ -219,13 +221,13 @@ TEST(BlockEngine, FallbackPathMatchesLawPath) {
   support::Rng rng_f(42);
   support::Welford wl, wf;
   for (int t = 0; t < 4000; ++t) {
-    auto bl = BlockCountingEngine::split_shuffled(start, offsets, rng_l);
-    BlockCountingEngine el(*law, std::move(bl), weights);
+    auto bl = ClassCountingEngine::split_shuffled(start, offsets, rng_l);
+    auto el = ClassCountingEngine::sbm(*law, std::move(bl), weights);
     el.step(rng_l);
     wl.add(el.configuration().alpha(0));
 
-    auto bf = BlockCountingEngine::split_shuffled(start, offsets, rng_f);
-    BlockCountingEngine ef(*fallback, std::move(bf), weights);
+    auto bf = ClassCountingEngine::split_shuffled(start, offsets, rng_f);
+    auto ef = ClassCountingEngine::sbm(*fallback, std::move(bf), weights);
     ef.step(rng_f);
     wf.add(ef.configuration().alpha(0));
   }
@@ -240,8 +242,8 @@ TEST(BlockEngine, FallbackPathMatchesLawPath) {
 TEST(BlockEngine, StateRoundTripReproducesTrajectory) {
   const auto protocol = make_protocol("2-choices");
   const Configuration total({160, 0, 90, 0, 0, 50, 100});
-  BlockCountingEngine engine(*protocol, make_blocks(total, 4, 7),
-                             make_weights(400, 4));
+  auto engine = ClassCountingEngine::sbm(*protocol, make_blocks(total, 4, 7),
+                                         make_weights(400, 4));
   support::Rng rng(51);
   for (int r = 0; r < 5; ++r) engine.step(rng);
   const EngineState state = engine.capture_state();
@@ -256,8 +258,8 @@ TEST(BlockEngine, StateRoundTripReproducesTrajectory) {
   const auto final_counts = final_snapshot.counts();
 
   // Restore into a sibling built from the same block shapes and replay.
-  BlockCountingEngine restored(*protocol, make_blocks(total, 4, 7),
-                               make_weights(400, 4));
+  auto restored = ClassCountingEngine::sbm(*protocol, make_blocks(total, 4, 7),
+                                           make_weights(400, 4));
   restored.restore_state(state);
   EXPECT_EQ(restored.rounds_elapsed(), 5u);
   support::Rng rng2 = rng_snapshot;
@@ -272,8 +274,8 @@ TEST(BlockEngine, StateRoundTripReproducesTrajectory) {
 TEST(BlockEngine, RestoreRejectsForeignState) {
   const auto protocol = make_protocol("voter");
   const Configuration total({50, 50});
-  BlockCountingEngine engine(*protocol, make_blocks(total, 2, 8),
-                             make_weights(100, 2));
+  auto engine = ClassCountingEngine::sbm(*protocol, make_blocks(total, 2, 8),
+                                         make_weights(100, 2));
   EngineState wrong_kind = engine.capture_state();
   wrong_kind.kind = "counting";
   EXPECT_THROW(engine.restore_state(wrong_kind), std::invalid_argument);
@@ -285,8 +287,8 @@ TEST(BlockEngine, RestoreRejectsForeignState) {
 TEST(BlockEngine, ReachesConsensusOnConnectedSbm) {
   const auto protocol = make_protocol("3-majority");
   const Configuration total({260, 90, 50});
-  BlockCountingEngine engine(*protocol, make_blocks(total, 4, 9),
-                             make_weights(400, 4));
+  auto engine = ClassCountingEngine::sbm(*protocol, make_blocks(total, 4, 9),
+                                         make_weights(400, 4));
   support::Rng rng(61);
   int rounds = 0;
   while (!engine.is_consensus() && rounds < 5000) {

@@ -16,7 +16,7 @@
 
 #include "consensus/core/agent_engine.hpp"
 #include "consensus/core/async_engine.hpp"
-#include "consensus/core/block_engine.hpp"
+#include "consensus/core/class_engine.hpp"
 #include "consensus/core/init.hpp"
 #include "consensus/core/pairwise_engine.hpp"
 #include "consensus/graph/generators.hpp"
@@ -204,7 +204,7 @@ TEST(FusedRegistry, UserProtocolPairwiseEngineBitIdentical) {
 }
 
 TEST(FusedRegistry, UserProtocolBlockEngineFallbackBitIdentical) {
-  // LazyVoter declines every law hook, so the block engine lands in the
+  // LazyVoter declines every law hook, so the class engine lands in the
   // per-vertex mixture fallback — the mixture_group thunk for the fused
   // protocol, the virtual update() loop for the twin. Same draws, same
   // trajectory, bit for bit.
@@ -217,14 +217,15 @@ TEST(FusedRegistry, UserProtocolBlockEngineFallbackBitIdentical) {
   const auto run = [&](const Protocol& protocol) {
     support::Rng split_rng(11);
     auto blocks =
-        BlockCountingEngine::split_shuffled(total, offsets, split_rng);
-    BlockCountingEngine engine(protocol, std::move(blocks), weights);
+        ClassCountingEngine::split_shuffled(total, offsets, split_rng);
+    auto engine =
+        ClassCountingEngine::sbm(protocol, std::move(blocks), weights);
     support::Rng rng(0x55);
     std::vector<std::uint64_t> trajectory;
     for (int t = 0; t < 15; ++t) {
       engine.step(rng);
-      for (std::size_t b = 0; b < engine.num_blocks(); ++b) {
-        const auto counts = engine.block(b).counts();
+      for (std::size_t b = 0; b < engine.num_classes(); ++b) {
+        const auto counts = engine.class_configuration(b).counts();
         trajectory.insert(trajectory.end(), counts.begin(), counts.end());
       }
     }

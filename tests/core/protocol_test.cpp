@@ -190,6 +190,18 @@ TEST(ProtocolFactory, KnownNames) {
   EXPECT_THROW(make_protocol("nope"), std::invalid_argument);
 }
 
+TEST(ProtocolFactory, HMajorityParsesTheWholeSuffix) {
+  EXPECT_EQ(make_protocol("h-majority:4294967295")->samples_per_update(),
+            4294967295u);
+  // Each of these used to run some other h (or h = 0) under the label.
+  for (const char* bad :
+       {"h-majority:", "h-majority:0", "h-majority:-1", "h-majority:+3",
+        "h-majority:5x", "h-majority: 5", "h-majority:4294967296",
+        "h-majority:4294967299", "h-majority:99999999999999999999"}) {
+    EXPECT_THROW(make_protocol(bad), std::invalid_argument) << bad;
+  }
+}
+
 TEST(ProtocolMetadata, SamplesPerUpdate) {
   EXPECT_EQ(ThreeMajority().samples_per_update(), 3u);
   EXPECT_EQ(TwoChoices().samples_per_update(), 2u);

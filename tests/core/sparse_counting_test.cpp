@@ -3,11 +3,12 @@
 //  * Configuration's incremental alive index and cached gamma must agree
 //    with the dense definitions under every mutator (move, swap,
 //    assign_alive_counts);
-//  * `Protocol::outcome_distribution_alive` must be the dense law
-//    restricted to the alive opinions, and — chi-square — exactly the law
-//    of `Protocol::update`, for every protocol implementing it;
+//  * `Protocol::outcome_distribution_alive` must be the dense mixture law
+//    at q = α restricted to the alive opinions, and — chi-square — exactly
+//    the law of `Protocol::update`, for every protocol implementing it;
 //  * engine level: sparse CountingEngine rounds must draw from the same
-//    one-round law as the dense and per-vertex paths (KS test);
+//    one-round law as the dense-only (step_counts or per-vertex) and
+//    per-vertex paths (KS test);
 //  * `for_each_composition_parallel` must enumerate exactly the serial
 //    sequence and reduce bit-identically for every thread count;
 //  * EngineState round-trips must stay bit-exact through sparse rounds.
@@ -122,6 +123,8 @@ Configuration holey_config() {
   return Configuration({0, 300, 0, 0, 120, 0, 80, 0, 0, 0, 0, 0});
 }
 
+/// The alive law must equal the mixture law evaluated at the holder's own
+/// frequencies q = α (a dense k-slot law), restricted to the alive slots.
 void expect_alive_law_matches_dense(const Protocol& protocol,
                                     const Configuration& cur,
                                     Opinion group) {
@@ -137,22 +140,27 @@ void expect_alive_law_matches_dense(const Protocol& protocol,
   }
   EXPECT_NEAR(total, 1.0, 1e-9) << protocol.name();
 
+  std::vector<double> alpha(cur.num_opinions());
+  for (std::size_t j = 0; j < alpha.size(); ++j) {
+    alpha[j] = cur.alpha(static_cast<Opinion>(j));
+  }
   std::vector<double> dense;
-  if (protocol.outcome_distribution(group, cur, dense)) {
-    ASSERT_EQ(dense.size(), cur.num_opinions());
-    for (std::size_t i = 0; i < alive.size(); ++i) {
-      EXPECT_NEAR(compact[i], dense[alive[i]], 1e-12)
-          << protocol.name() << " alive slot " << i;
+  ASSERT_TRUE(protocol.outcome_distribution_mixture(group, alpha,
+                                                    cur.num_vertices(), dense))
+      << protocol.name();
+  ASSERT_EQ(dense.size(), cur.num_opinions());
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    EXPECT_NEAR(compact[i], dense[alive[i]], 1e-12)
+        << protocol.name() << " alive slot " << i;
+  }
+  // The dense law must put no mass on extinct slots.
+  std::size_t next_alive = 0;
+  for (std::size_t j = 0; j < dense.size(); ++j) {
+    if (next_alive < alive.size() && alive[next_alive] == j) {
+      ++next_alive;
+      continue;
     }
-    // The dense law must put no mass on extinct slots.
-    std::size_t next_alive = 0;
-    for (std::size_t j = 0; j < dense.size(); ++j) {
-      if (next_alive < alive.size() && alive[next_alive] == j) {
-        ++next_alive;
-        continue;
-      }
-      EXPECT_EQ(dense[j], 0.0) << protocol.name() << " extinct slot " << j;
-    }
+    EXPECT_EQ(dense[j], 0.0) << protocol.name() << " extinct slot " << j;
   }
 }
 
@@ -293,7 +301,9 @@ TEST(SparseOutcomeLaw, MatchesUpdateChiSquare) {
 
 TEST(SparseCountingEngine, OneRoundLawMatchesDenseAndGenericPaths) {
   // Two-sample KS on count(4) (an alive middle slot of the holey start)
-  // between sparse rounds, dense-only rounds, and the per-vertex path.
+  // between sparse rounds, dense-only rounds (step_counts for 3-majority,
+  // the per-vertex path for the rules without a closed form), and the
+  // per-vertex path.
   for (const char* name : {"3-majority", "h-majority:5", "median"}) {
     const auto sparse = make_protocol(name);
     const auto dense = make_dense_only(make_protocol(name));

@@ -284,33 +284,25 @@ TEST(AliasTable, NonPowerOfTwoSingleDrawMatchesWeights) {
   }
 }
 
-TEST(AliasTable, ForceTwoDrawReproducesLegacyStream) {
-  // The two-draw form must remain bit-available: a forced table consumes
-  // the RNG exactly like the pre-single-draw implementation (one
-  // uniform_below + one uniform01 per draw).
-  const std::vector<double> weights{1.0, 5.0, 2.0, 0.0, 2.0};
-  AliasTable forced(weights);
-  forced.set_force_two_draw(true);
-  Rng rng_forced(23);
+TEST(AliasTable, LargeTablesTakeTheTwoDrawStream) {
+  // Tables past the 2048-slot single-draw limit use the two-draw form:
+  // one uniform_below + one uniform01 per draw, exactly.
+  std::vector<double> weights(3001, 1.0);
+  weights[3] = 0.0;
+  weights[7] = 40.0;
+  const AliasTable table(weights);
+  Rng rng_table(23);
   Rng rng_manual(23);
   for (int i = 0; i < 2000; ++i) {
-    // Replicate the legacy RNG consumption by hand on a lock-stepped RNG.
-    const std::size_t drawn = forced.sample(rng_forced);
+    // Replicate the two-draw RNG consumption by hand on a lock-stepped RNG.
+    const std::size_t drawn = table.sample(rng_table);
     (void)rng_manual.uniform_below(weights.size());
     (void)rng_manual.uniform01();
     // Same stream position consumed: the RNGs must stay in lock step.
-    EXPECT_EQ(rng_forced(), rng_manual());
     EXPECT_LT(drawn, weights.size());
     EXPECT_NE(drawn, 3u);  // zero-weight slot never drawn
-    ASSERT_EQ(rng_forced(), rng_manual());
+    ASSERT_EQ(rng_table(), rng_manual());
   }
-  // The override is sticky across rebuilds.
-  forced.rebuild(weights);
-  Rng a(24), b(24);
-  (void)forced.sample(a);
-  (void)b.uniform_below(weights.size());
-  (void)b.uniform01();
-  EXPECT_EQ(a(), b());
 }
 
 TEST(IncrementalCountAlias, SyncMatchesFreshReset) {

@@ -6,15 +6,14 @@
 // HMajority's law.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "consensus/core/block_engine.hpp"
-#include "consensus/core/degree_class_engine.hpp"
+#include "consensus/core/class_engine.hpp"
 #include "consensus/core/h_majority.hpp"
 #include "consensus/core/init.hpp"
 #include "consensus/core/three_majority.hpp"
@@ -294,6 +293,15 @@ TEST(SimdRegistry, MetricsExportPublishesRegistryState) {
 
 // ---------- mixture kernels: per-lane bit identity ----------
 
+/// Bitwise equality of two double vectors (distinguishes -0.0/+0.0 and
+/// compares NaN payloads). Element-wise, so empty vectors — whose data()
+/// may be null — never reach memcmp.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::ranges::equal(a, b, [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  });
+}
+
 TEST(SimdKernels, MixtureKernelsBitIdenticalOnEveryLane) {
   const auto lanes = vector_lanes();
   if (lanes.empty()) {
@@ -328,9 +336,7 @@ TEST(SimdKernels, MixtureKernelsBitIdenticalOnEveryLane) {
                            k, coeff);
         mixture_accumulate_scalar(acc_scalar.data() + offset,
                                   counts.data() + offset, k, coeff);
-        ASSERT_EQ(std::memcmp(acc_lane.data(), acc_scalar.data(),
-                              acc_lane.size() * sizeof(double)),
-                  0)
+        ASSERT_TRUE(same_bits(acc_lane, acc_scalar))
             << "mixture_accumulate " << to_string(isa) << " k=" << k
             << " offset=" << offset;
 
@@ -348,9 +354,7 @@ TEST(SimdKernels, MixtureKernelsBitIdenticalOnEveryLane) {
                              out_lane.data() + offset);
         mixture_majority_map_scalar(q.data() + offset, k, ss_scalar,
                                     out_scalar.data() + offset);
-        ASSERT_EQ(std::memcmp(out_lane.data(), out_scalar.data(),
-                              out_lane.size() * sizeof(double)),
-                  0)
+        ASSERT_TRUE(same_bits(out_lane, out_scalar))
             << "mixture_majority_map " << to_string(isa) << " k=" << k
             << " offset=" << offset;
       }
@@ -366,16 +370,16 @@ std::vector<std::uint64_t> block_trajectory(const core::Protocol& protocol,
   const auto offsets = graph::sbm_block_offsets(6000, 4);
   Rng split_rng(77);
   auto blocks =
-      core::BlockCountingEngine::split_shuffled(total, offsets, split_rng);
-  auto weights = graph::sbm_block_weights(offsets, 0.5, 0.1);
-  core::BlockCountingEngine engine(protocol, std::move(blocks),
-                                   std::move(weights));
+      core::ClassCountingEngine::split_shuffled(total, offsets, split_rng);
+  const auto weights = graph::sbm_block_weights(offsets, 0.5, 0.1);
+  auto engine =
+      core::ClassCountingEngine::sbm(protocol, std::move(blocks), weights);
   Rng rng(123);
   std::vector<std::uint64_t> trajectory;
   for (int s = 0; s < steps; ++s) {
     engine.step(rng);
-    for (std::size_t b = 0; b < engine.num_blocks(); ++b) {
-      const auto counts = engine.block(b).counts();
+    for (std::size_t b = 0; b < engine.num_classes(); ++b) {
+      const auto counts = engine.class_configuration(b).counts();
       trajectory.insert(trajectory.end(), counts.begin(), counts.end());
     }
   }
@@ -388,15 +392,16 @@ std::vector<std::uint64_t> degree_trajectory(const core::Protocol& protocol,
   const std::vector<std::uint64_t> offsets = {0, 1000, 2000, 3000, 4000};
   Rng split_rng(7);
   auto classes =
-      core::BlockCountingEngine::split_shuffled(total, offsets, split_rng);
-  core::DegreeClassCountingEngine engine(protocol, std::move(classes),
-                                         {1, 2, 4, 9});
+      core::ClassCountingEngine::split_shuffled(total, offsets, split_rng);
+  const std::vector<std::uint64_t> degrees = {1, 2, 4, 9};
+  auto engine = core::ClassCountingEngine::degree_classes(
+      protocol, std::move(classes), degrees);
   Rng rng(321);
   std::vector<std::uint64_t> trajectory;
   for (int s = 0; s < steps; ++s) {
     engine.step(rng);
     for (std::size_t c = 0; c < engine.num_classes(); ++c) {
-      const auto counts = engine.degree_class(c).counts();
+      const auto counts = engine.class_configuration(c).counts();
       trajectory.insert(trajectory.end(), counts.begin(), counts.end());
     }
   }
@@ -406,7 +411,7 @@ std::vector<std::uint64_t> degree_trajectory(const core::Protocol& protocol,
 TEST(SimdKernels, BlockEngineTrajectoryIsLaneInvariant) {
   // The registry-override guarantee: a scalar-pinned run (CONSENSUS_SIMD=
   // scalar parses through the same set_simd_isa) reproduces every vector
-  // lane's BlockCountingEngine trajectory bit for bit — same multinomial
+  // lane's block-engine trajectory bit for bit — same multinomial
   // draws, same RNG stream, because the mixing saxpy and the 3-majority
   // mixture-law assembly are bit-identical across lanes.
   if (!simd_kernels_available()) {
