@@ -42,10 +42,11 @@ std::uint64_t binomial_btrs(Rng& rng, std::uint64_t n, double p) {
   const double a = -0.0873 + 0.0248 * b + 0.01 * p;
   const double c = nd * p + 0.5;
   const double v_r = 0.92 - 4.2 / b;
-  const double alpha = (2.83 + 5.1 / b) * spq;
-  const double lpq = std::log(p / q);
-  const double m = std::floor((nd + 1.0) * p);
-  const double h = std::lgamma(m + 1.0) + std::lgamma(nd - m + 1.0);
+  // Constants of the exact acceptance test. Most variates pass the squeeze
+  // test before it, so they (two lgamma calls) are set up on the first
+  // candidate that needs them; the values, and so the stream, are the same.
+  bool have_tail = false;
+  double alpha = 0.0, lpq = 0.0, m = 0.0, h = 0.0;
 
   for (;;) {
     const double u = rng.uniform01() - 0.5;
@@ -54,6 +55,13 @@ std::uint64_t binomial_btrs(Rng& rng, std::uint64_t n, double p) {
     const double kd = std::floor((2.0 * a / us + b) * u + c);
     if (kd < 0.0 || kd > nd) continue;
     if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(kd);
+    if (!have_tail) {
+      alpha = (2.83 + 5.1 / b) * spq;
+      lpq = std::log(p / q);
+      m = std::floor((nd + 1.0) * p);
+      h = std::lgamma(m + 1.0) + std::lgamma(nd - m + 1.0);
+      have_tail = true;
+    }
     v = std::log(v * alpha / (a / (us * us) + b));
     const double accept =
         h - std::lgamma(kd + 1.0) - std::lgamma(nd - kd + 1.0) + (kd - m) * lpq;
