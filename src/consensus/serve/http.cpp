@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
@@ -24,6 +25,26 @@ std::string trim(std::string_view s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return std::string(s.substr(b, e - b));
+}
+
+/// Parses a whole unsigned `text` (surrounding whitespace allowed) in
+/// `base`: no sign, no prefix, no trailing characters, no wrap-around.
+std::size_t parse_size(std::string_view text, int base, const char* what) {
+  const std::string digits = trim(text);
+  std::size_t value = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [stop, ec] = std::from_chars(digits.data(), end, value, base);
+  if (digits.empty() || ec != std::errc() || stop != end) {
+    throw std::runtime_error(std::string("http: bad ") + what + " '" +
+                             std::string(text) + "'");
+  }
+  return value;
+}
+
+/// Size of a chunk from its header line: hex digits, then an optional
+/// ";extension" that is ignored.
+std::size_t parse_chunk_size(std::string_view line) {
+  return parse_size(line.substr(0, line.find(';')), 16, "chunk size");
 }
 
 /// Incremental reader: buffers stream bytes and hands out lines/blocks.
@@ -146,12 +167,13 @@ std::string read_body(StreamReader& reader,
       if (!reader.read_line(&line)) {
         throw std::runtime_error("http: truncated chunked body");
       }
-      const std::size_t size = std::stoull(trim(line), nullptr, 16);
+      const std::size_t size = parse_chunk_size(line);
       if (size == 0) {
         reader.read_line(&line);  // trailing CRLF after the last chunk
         return body;
       }
-      if (body.size() + size > max_body) {
+      // body.size() <= max_body holds, so the subtraction cannot wrap.
+      if (size > max_body - body.size()) {
         throw std::runtime_error("http: body exceeds limit");
       }
       body += reader.read_exact(size);
@@ -160,7 +182,8 @@ std::string read_body(StreamReader& reader,
   }
   const auto cl = headers.find("content-length");
   if (cl == headers.end()) return {};
-  const std::size_t length = std::stoull(cl->second);
+  const std::size_t length =
+      parse_size(cl->second, 10, "Content-Length");
   if (length > max_body) throw std::runtime_error("http: body exceeds limit");
   return reader.read_exact(length);
 }
@@ -313,7 +336,7 @@ HttpResponse http_request_stream(
       if (!reader.read_line(&line)) {
         throw std::runtime_error("http: truncated chunked body");
       }
-      const std::size_t size = std::stoull(trim(line), nullptr, 16);
+      const std::size_t size = parse_chunk_size(line);
       if (size == 0) {
         reader.read_line(&line);
         break;
@@ -327,7 +350,8 @@ HttpResponse http_request_stream(
   }
   const auto cl = response.headers.find("content-length");
   response.body = cl != response.headers.end()
-                      ? reader.read_exact(std::stoull(cl->second))
+                      ? reader.read_exact(
+                            parse_size(cl->second, 10, "Content-Length"))
                       : reader.read_to_eof();
   if (on_chunk && !response.body.empty()) on_chunk(response.body);
   return response;
