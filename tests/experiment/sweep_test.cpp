@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
 
 #include "consensus/core/counting_engine.hpp"
 #include "consensus/core/init.hpp"
@@ -146,9 +147,13 @@ TEST(SweepStream, ResumeReplaysWithoutCallingBody) {
   }
   RecordingSink sink;
   std::vector<std::size_t> body_reps;
+  std::mutex body_reps_mutex;  // the body runs on the sweep's pool threads
   sweep.run_stream(
       [&](const Trial& trial) {
-        body_reps.push_back(trial.replication);
+        {
+          const std::lock_guard<std::mutex> lock(body_reps_mutex);
+          body_reps.push_back(trial.replication);
+        }
         RunResult res;
         res.reached_consensus = true;
         res.rounds = trial.replication;
