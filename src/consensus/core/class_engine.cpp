@@ -100,6 +100,7 @@ ClassCountingEngine::ClassCountingEngine(const Protocol& protocol,
   }
   mix_.assign(coeff_.size() / classes_.size(),
               std::vector<double>(num_slots_, 0.0));
+  adopt_.resize(mix_.size());
 }
 
 std::vector<Configuration> ClassCountingEngine::split_shuffled(
@@ -170,6 +171,15 @@ void ClassCountingEngine::step(support::Rng& rng) {
       }
     }
   }
+  // Keep-or-adopt rules: one adopt law per mixture, shared by the classes
+  // that sample from it (all of them on the degree-class engine).
+  keep_or_adopt_ = true;
+  for (std::size_t r = 0; keep_or_adopt_ && r < mix_.size(); ++r) {
+    AdoptLaw& law = adopt_[r];
+    keep_or_adopt_ = protocol_->keep_or_adopt(mix_[r], law.adopt, law.keep);
+    law.total = 0.0;
+    for (const double w : law.adopt) law.total += w;
+  }
   fallback_mixture_ = kNoTable;
   // Phase 2 — transition: every q is fully built from the round-t state,
   // so classes can commit in order without aliasing the mixing inputs.
@@ -181,6 +191,23 @@ void ClassCountingEngine::step_class(std::size_t c, support::Rng& rng) {
   Configuration& cfg = classes_[c];
   const std::span<const double> q = mix_[mixture_of(c)];
   const std::uint64_t n_c = cfg.num_vertices();
+
+  // Keep-or-adopt rules: Bin(count_o, keep) keepers per alive opinion in
+  // index order, then one Multinomial(movers, adopt) for the class.
+  if (keep_or_adopt_) {
+    const AdoptLaw& law = adopt_[mixture_of(c)];
+    const auto counts = cfg.counts();
+    next_.assign(num_slots_, 0);
+    std::uint64_t movers = n_c;
+    for (const Opinion o : cfg.alive()) {
+      next_[o] = support::binomial(rng, counts[o], law.keep);
+      movers -= next_[o];
+    }
+    support::multinomial_into(rng, movers, law.adopt, law.total, group_out_);
+    for (std::size_t j = 0; j < num_slots_; ++j) next_[j] += group_out_[j];
+    commit_class(c);
+    return;
+  }
 
   // Anonymous rules: one law, one Multinomial(n_c, ·) for the class.
   if (!protocol_->outcome_depends_on_current()) {

@@ -10,12 +10,17 @@
 //      vector through the vectorised support::mixture_accumulate when the
 //      support is dense): O(R·C·a) for the phase. Class c samples from
 //      mixture c when R == C, or from the one shared mixture when R == 1.
-//   2. TRANSITION — each class advances through the protocol's MIXTURE law
-//      (`outcome_distribution_mixture`, with q in place of α): anonymous
-//      rules draw one Multinomial(n_c, law) per class, current-dependent
-//      rules one multinomial per (class, alive group). When the law
-//      declines (over budget), the class falls back to per-vertex `update`
-//      calls against an alias sampler over its q — exact, just O(n_c).
+//   2. TRANSITION — keep-or-adopt rules (`Protocol::keep_or_adopt`:
+//      2-Choices, 3-Majority-keep) build one adopt law per mixture; each
+//      class then draws Bin(count_o, keep) keepers per alive opinion o and
+//      ONE Multinomial(movers, adopt): O(a) binomials plus one k-wide
+//      cascade per class. Every other rule advances through the
+//      protocol's MIXTURE law (`outcome_distribution_mixture`, with q in
+//      place of α): anonymous rules draw one Multinomial(n_c, law) per
+//      class, current-dependent rules one multinomial per (class, alive
+//      group). When the law declines (over budget), the class falls back
+//      to per-vertex `update` calls against an alias sampler over its q —
+//      exact, just O(n_c).
 //
 // A round therefore costs O(R·C·a + C·k) arithmetic plus the multinomial
 // draws — independent of n on the law path. Two graph families use it,
@@ -128,6 +133,14 @@ class ClassCountingEngine final : public Engine {
 
   // Round scratch (persistent so steady-state rounds allocate nothing).
   std::vector<std::vector<double>> mix_;   // q_r per mixture, dense k
+  // Keep-or-adopt law of each mixture this round (keep_or_adopt_ == true).
+  struct AdoptLaw {
+    std::vector<double> adopt;  // dense k
+    double total = 0.0;         // Σ adopt, for the multinomial
+    double keep = 0.0;
+  };
+  std::vector<AdoptLaw> adopt_;
+  bool keep_or_adopt_ = false;
   std::vector<double> probs_;              // one group's law
   std::vector<std::uint64_t> next_;        // next counts of one class
   std::vector<std::uint64_t> group_out_;   // one group's multinomial

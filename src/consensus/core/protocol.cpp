@@ -35,7 +35,7 @@ class GenericOnly final : public Protocol {
 
 /// Forwards everything EXCEPT outcome_distribution_alive (left at the
 /// base-class "no alive law" default), pinning the counting engine to
-/// step_counts for sparse-vs-dense comparisons.
+/// keep_or_adopt or step_counts for sparse-vs-dense comparisons.
 class DenseOnly final : public Protocol {
  public:
   explicit DenseOnly(std::unique_ptr<Protocol> inner)
@@ -59,6 +59,10 @@ class DenseOnly final : public Protocol {
                                     std::vector<double>& out) const override {
     return inner_->outcome_distribution_mixture(current, sampling, n_hint,
                                                 out);
+  }
+  bool keep_or_adopt(std::span<const double> sampling,
+                     std::vector<double>& adopt, double& keep) const override {
+    return inner_->keep_or_adopt(sampling, adopt, keep);
   }
   bool outcome_depends_on_current() const noexcept override {
     return inner_->outcome_depends_on_current();

@@ -1,7 +1,8 @@
 // Protocol interface: a consensus dynamic is (a) a local update rule — what
-// a vertex does with random neighbour opinions — and optionally (b) an exact
-// closed-form one-round transition of the count vector on K_n with
-// self-loops, used by the counting engine for O(k)-per-round simulation.
+// a vertex does with random neighbour opinions — and optionally (b) exact
+// one-round laws the count-space engines sample from instead: a closed-form
+// transition of the count vector on K_n with self-loops, single-vertex
+// outcome laws, or a keep-or-adopt law.
 //
 // The local rule defines the dynamic on any graph (Definition 3.1
 // generalised); the counting path must sample from *exactly* the same
@@ -112,13 +113,12 @@ class Protocol {
   /// round O(poly(a, h)) even when k ≈ n. Implementations must produce
   /// exactly the law of `update` (tests cross-validate with chi-square).
   ///
-  /// Returns false when the protocol has no alive-law, when it is over
-  /// budget, or when the closed-form `step_counts` is cheaper for this
-  /// configuration (e.g. a² > k for a per-group law with an O(k) closed
-  /// form); the counting engine then tries `step_counts` and finally the
-  /// per-vertex fallback. Availability must be uniform in `current` for a
-  /// fixed configuration (decline for every group or none): the engine
-  /// stops probing a round's remaining groups after the first decline.
+  /// Returns false when the protocol has no alive-law or when it is over
+  /// budget; the counting engine then tries `keep_or_adopt`,
+  /// `step_counts` and finally the per-vertex fallback. Availability must
+  /// be uniform in `current` for a fixed configuration (decline for every
+  /// group or none): the engine stops probing a round's remaining groups
+  /// after the first decline.
   virtual bool outcome_distribution_alive(Opinion current,
                                           const Configuration& cur,
                                           std::vector<double>& out) const {
@@ -153,6 +153,31 @@ class Protocol {
     (void)sampling;
     (void)n_hint;
     (void)out;
+    return false;
+  }
+
+  /// Keep-or-adopt law: a vertex whose neighbour opinions are i.i.d. draws
+  /// from `sampling` keeps its own opinion with probability `keep` and
+  /// otherwise adopts opinion j with weight `adopt[j]` (resized to
+  /// sampling.size(); Σ adopt = 1 − keep), where neither depends on the
+  /// vertex's own opinion. Returns false (the default) for rules without
+  /// that form.
+  ///
+  /// Both count-space engines take this hook in place of a per-group law:
+  /// per group o, keepers ~ Bin(count_o, keep), drawn for the alive groups
+  /// in index order; the movers then land by ONE Multinomial(movers,
+  /// adopt). That is O(a) binomials plus one multinomial per class and
+  /// round, where a per-group law costs one multinomial per alive group.
+  /// On K_n the sampling vector is the compact alive α (sampling.size()
+  /// == a).
+  /// Implementations must produce exactly the law of `update`, and
+  /// keep·δ_current + adopt must equal `outcome_distribution_mixture`.
+  virtual bool keep_or_adopt(std::span<const double> sampling,
+                             std::vector<double>& adopt,
+                             double& keep) const {
+    (void)sampling;
+    (void)adopt;
+    (void)keep;
     return false;
   }
 
@@ -196,15 +221,17 @@ std::unique_ptr<Protocol> make_undecided();
 std::unique_ptr<Protocol> make_protocol(std::string_view name);
 
 /// Wraps `inner` forwarding the local rule only — step_counts and every
-/// law hook stay hidden, forcing the engines onto the per-vertex fallback.
+/// law hook (keep_or_adopt included) stay hidden, forcing the engines onto
+/// the per-vertex fallback.
 /// Used by benches and cross-validation tests to pit the fast paths
 /// against the reference path of the same dynamic.
 std::unique_ptr<Protocol> make_generic_only(std::unique_ptr<Protocol> inner);
 
 /// Wraps `inner` hiding ONLY `outcome_distribution_alive`, so the counting
-/// engine runs the O(k) closed form `step_counts` where the protocol has
-/// one (the per-vertex fallback where it does not). Diagnostic for
-/// benches (sparse-vs-dense columns) and equivalence tests.
+/// engine runs `keep_or_adopt` where the protocol has it, else the O(k)
+/// closed form `step_counts` where it has one, else the per-vertex
+/// fallback. Diagnostic for benches (sparse-vs-dense columns) and
+/// equivalence tests.
 std::unique_ptr<Protocol> make_dense_only(std::unique_ptr<Protocol> inner);
 
 }  // namespace consensus::core

@@ -7,6 +7,13 @@
 // choice. With all-distinct samples the vertex is lazy here, which weakens
 // the drift for large k (many distinct samples early on) — the ABL-VARIANTS
 // bench quantifies it.
+//
+// Count-space law (exact): with neighbour law q (α on K_n), some opinion j
+// is sampled at least twice of three times with probability
+// 3q_j²(1 − q_j) + q_j³ = q_j²(3 − 2q_j), and all three are distinct with
+// the complementary mass. Neither event depends on the holder's opinion,
+// so the rule is keep-or-adopt (Protocol::keep_or_adopt):
+// adopt[j] = q_j²(3 − 2q_j), keep = 1 − Σ adopt.
 #pragma once
 
 #include "consensus/core/fused.hpp"
@@ -35,18 +42,12 @@ class ThreeMajorityKeep final : public FusedProtocol<ThreeMajorityKeep> {
   Opinion update(Opinion current, OpinionSampler& neighbors,
                  support::Rng& rng) const override;
 
-  bool step_counts(const Configuration& cur, std::vector<std::uint64_t>& next,
-                   support::Rng& rng) const override;
+  /// adopt[j] = q_j²(3 − 2q_j), keep = 1 − Σ adopt (clamped at 0
+  /// against ulp overshoot of the sum). O(|q|).
+  bool keep_or_adopt(std::span<const double> sampling,
+                     std::vector<double>& adopt, double& keep) const override;
 
-  /// Current-dependent single-vertex law over the alive index (the keep
-  /// branch lands on the holder's own opinion): O(a) per group, O(a²) per
-  /// round. Declines when a² > k — there the O(k) step_counts closed form
-  /// is the cheaper exact path, and the engine falls through to it.
-  bool outcome_distribution_alive(Opinion current, const Configuration& cur,
-                                  std::vector<double>& out) const override;
-
-  /// Mixture law: adopt j with q_j²(3 − 2q_j), keep own with the
-  /// complementary mass.
+  /// Mixture law: keep·δ_current + adopt from keep_or_adopt.
   bool outcome_distribution_mixture(Opinion current,
                                     std::span<const double> sampling,
                                     std::uint64_t n_hint,

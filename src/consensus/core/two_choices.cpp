@@ -1,9 +1,6 @@
 #include "consensus/core/two_choices.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-
-#include "consensus/support/sampling.hpp"
 
 namespace consensus::core {
 
@@ -13,63 +10,17 @@ Opinion TwoChoices::update(Opinion current, OpinionSampler& neighbors,
   return update_from_draws(current, draws, rng);
 }
 
-bool TwoChoices::step_counts(const Configuration& cur,
-                             std::vector<std::uint64_t>& next,
-                             support::Rng& rng) const {
-  const auto n = cur.num_vertices();
-  const auto nd = static_cast<double>(n);
-  const std::size_t k = cur.num_opinions();
-
-  double gamma = 0.0;
-  std::vector<double> sq(k);  // α(j)² — adopter destination weights
-  for (std::size_t i = 0; i < k; ++i) {
-    const double a = static_cast<double>(cur.counts()[i]) / nd;
-    sq[i] = a * a;
-    gamma += sq[i];
-  }
-
-  next.assign(k, 0);
-  std::uint64_t adopters = n;
-  const double keep_prob = 1.0 - gamma;  // Pr[pair outcome = ⊥]
+bool TwoChoices::keep_or_adopt(std::span<const double> sampling,
+                               std::vector<double>& adopt,
+                               double& keep) const {
+  const std::size_t k = sampling.size();
+  adopt.resize(k);
+  double gamma = 0.0;  // Pr[both samples agree]
   for (std::size_t j = 0; j < k; ++j) {
-    const std::uint64_t z =
-        support::binomial(rng, cur.counts()[j], keep_prob);
-    next[j] = z;
-    adopters -= z;
+    adopt[j] = sampling[j] * sampling[j];
+    gamma += adopt[j];
   }
-  if (adopters > 0) {
-    std::vector<std::uint64_t> dest;
-    support::multinomial_into(rng, adopters, sq, dest);
-    for (std::size_t j = 0; j < k; ++j) next[j] += dest[j];
-  }
-  return true;
-}
-
-bool TwoChoices::outcome_distribution_alive(Opinion current,
-                                            const Configuration& cur,
-                                            std::vector<double>& out) const {
-  const auto alive = cur.alive();
-  const std::size_t a = alive.size();
-  // One multinomial per alive group is O(a²) per round vs the O(k) closed
-  // form: sparse only pays off once most slots are extinct.
-  if (a * a > cur.num_opinions()) return false;
-
-  const auto nd = static_cast<double>(cur.num_vertices());
-  const double gamma = cur.gamma();  // cached
-  out.resize(a);
-  std::size_t self = a;  // compact index of `current`
-  for (std::size_t i = 0; i < a; ++i) {
-    if (alive[i] == current) self = i;
-    const double al = static_cast<double>(cur.counts()[alive[i]]) / nd;
-    out[i] = al * al;
-  }
-  if (self == a) {
-    throw std::invalid_argument(
-        "TwoChoices::outcome_distribution_alive: current must be alive");
-  }
-  // Pr[pair outcome = ⊥] lands on the holder's own opinion; clamp against
-  // ulp overshoot of the α² sum.
-  out[self] += std::max(0.0, 1.0 - gamma);
+  keep = std::max(0.0, 1.0 - gamma);
   return true;
 }
 
@@ -78,16 +29,9 @@ bool TwoChoices::outcome_distribution_mixture(Opinion current,
                                               std::uint64_t n_hint,
                                               std::vector<double>& out) const {
   (void)n_hint;
-  const std::size_t k = sampling.size();
-  double gamma = 0.0;
-  out.resize(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    out[j] = sampling[j] * sampling[j];
-    gamma += out[j];
-  }
-  // Pr[pair outcome = ⊥] lands on the holder's own opinion; clamped as in
-  // the configuration-keyed law.
-  out[current] += std::max(0.0, 1.0 - gamma);
+  double keep = 0.0;
+  keep_or_adopt(sampling, out, keep);
+  out[current] += keep;
   return true;
 }
 

@@ -2,15 +2,14 @@
 // neighbours w1, w2; if opn(w1) == opn(w2) it adopts that opinion, otherwise
 // it keeps its own for the round.
 //
-// Counting path (exact O(k) derivation): per vertex, draw an independent
-// "pair outcome" O ∈ {1..k, ⊥} with Pr[O = j] = α(j)², Pr[⊥] = 1 − γ. The
-// new opinion is O when O ≠ ⊥ and the current opinion otherwise; this
-// reproduces eq. (6). Outcomes are i.i.d. across vertices and independent of
-// current opinions, so:
-//   keepers per group:   Z_j ~ Bin(count(j), 1 − γ), independent over j,
-//   adopters in total:   M = n − Σ_j Z_j,
-//   their destinations:  (B_1..B_k) ~ Multinomial(M, α(j)²/γ),
-//   next count:          Z_j + B_j.
+// Count-space law (exact): per vertex, draw an independent "pair outcome"
+// O ∈ {1..k, ⊥} with Pr[O = j] = q_j², Pr[⊥] = 1 − Σ_j q_j², where q is the
+// neighbour law (α on K_n). The new opinion is O when O ≠ ⊥ and the current
+// opinion otherwise; on K_n this reproduces eq. (6). The outcome does not
+// depend on the current opinion, so the rule is keep-or-adopt
+// (Protocol::keep_or_adopt): adopt[j] = q_j², keep = 1 − Σ adopt, and a
+// round is keepers Z_o ~ Bin(count_o, keep) per alive group plus one
+// Multinomial(n − Σ Z, adopt) for the movers.
 #pragma once
 
 #include "consensus/core/fused.hpp"
@@ -35,16 +34,12 @@ class TwoChoices final : public FusedProtocol<TwoChoices> {
   Opinion update(Opinion current, OpinionSampler& neighbors,
                  support::Rng& rng) const override;
 
-  bool step_counts(const Configuration& cur, std::vector<std::uint64_t>& next,
-                   support::Rng& rng) const override;
+  /// adopt[j] = q_j², keep = 1 − Σ adopt (clamped at 0 against ulp
+  /// overshoot of the sum). O(|q|).
+  bool keep_or_adopt(std::span<const double> sampling,
+                     std::vector<double>& adopt, double& keep) const override;
 
-  /// Per-group law over the alive index (adopt j with α_j², keep with
-  /// 1 − γ): O(a) per group, O(a²) per round. Declines when a² > k, where
-  /// the O(k) step_counts closed form wins.
-  bool outcome_distribution_alive(Opinion current, const Configuration& cur,
-                                  std::vector<double>& out) const override;
-
-  /// Mixture law: adopt j with q_j², keep own with 1 − Σ q_j².
+  /// Mixture law: keep·δ_current + adopt from keep_or_adopt.
   bool outcome_distribution_mixture(Opinion current,
                                     std::span<const double> sampling,
                                     std::uint64_t n_hint,

@@ -24,11 +24,15 @@ namespace consensus::support {
 ///   1  original two-draw alias sampling
 ///   2  single-draw alias path for power-of-two table sizes <= 2048
 ///   3  fixed-point rejection extends the single-draw path to ALL table
-///      sizes <= 2048 (current)
+///      sizes <= 2048
+///   4  keep-or-adopt rounds (2-Choices, 3-Majority-keep): O(a) keeper
+///      binomials plus one adopt multinomial per class, in place of one
+///      multinomial per alive group; unchanged on the K_n closed form
+///      (current)
 /// core::EngineCheckpoint records this value on save and refuses to load
 /// under a different one — a version mismatch is a clear error instead of
 /// a silently divergent resumed trajectory.
-inline constexpr std::uint32_t kRngDrawPathVersion = 3;
+inline constexpr std::uint32_t kRngDrawPathVersion = 4;
 
 /// Exact Binomial(n, p) sample. Handles all edge cases (p<=0, p>=1, n==0).
 /// Cost: O(np) for small np (inversion), O(1) expected otherwise (BTRS).

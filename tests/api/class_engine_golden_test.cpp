@@ -98,7 +98,7 @@ TEST(ClassEngineGolden, SbmThreeMajority) {
 
 TEST(ClassEngineGolden, SbmTwoChoices) {
   expect_golden(record(sbm_spec(), "2-choices"),
-                {36, 5, 9214786715147659500ull, 14105081275325306131ull});
+                {28, 5, 237718604936378318ull, 9813509411746875927ull});
 }
 
 // h-majority:9 over 40 opinions is far over the enumeration budget at
@@ -116,7 +116,7 @@ TEST(ClassEngineGolden, DegreeClassThreeMajority) {
 
 TEST(ClassEngineGolden, DegreeClassTwoChoices) {
   expect_golden(record(degree_class_spec(), "2-choices"),
-                {17, 2, 15002759107460159218ull, 14558752126082935293ull});
+                {20, 2, 13489266914936210878ull, 18134047419899853347ull});
 }
 
 TEST(ClassEngineGolden, DegreeClassHMajorityFallbackThenLaw) {

@@ -3,10 +3,11 @@
 //
 //  * chi-square: `Protocol::outcome_distribution_alive` must be exactly
 //    the law of `Protocol::update` under i.i.d. categorical neighbour
-//    samples, per opinion group (h-Majority h = 3, 5, the median rule,
-//    3-Majority-keep);
+//    samples, per opinion group (h-Majority h = 3, 5, the median rule),
+//    and so must keep·δ_group + adopt from `Protocol::keep_or_adopt`
+//    (3-Majority-keep);
 //  * h-majority:3's law must agree with 3-Majority's closed form, and
-//    3-Majority-keep's summed group laws with its step_counts expectation;
+//    3-Majority-keep's summed group laws with the keep/adopt expectation;
 //  * engine level: the batched CountingEngine rounds must draw from the
 //    same one-round law as the per-vertex generic path (KS test);
 //  * the parallel AgentEngine must be seed-deterministic across thread
@@ -56,11 +57,22 @@ class ConfigSampler final : public OpinionSampler {
 constexpr double kChi2Crit[9] = {0.0,   15.14, 18.42, 21.11, 23.51,
                                  25.74, 27.86, 29.88, 31.83};
 
-/// The alive law of `group` scattered back to all k slots (extinct slots
-/// get probability 0).
+/// The one-vertex law of `group` by slot: keep·δ_group + adopt from
+/// keep_or_adopt at q = α for the keep-or-adopt rules, else the alive law
+/// scattered back to all k slots (extinct slots get probability 0).
 std::vector<double> alive_law_by_slot(const Protocol& protocol,
                                       const Configuration& start,
                                       Opinion group) {
+  std::vector<double> alpha(start.num_opinions());
+  for (std::size_t j = 0; j < alpha.size(); ++j) {
+    alpha[j] = start.alpha(static_cast<Opinion>(j));
+  }
+  std::vector<double> law;
+  double keep = 0.0;
+  if (protocol.keep_or_adopt(alpha, law, keep)) {
+    law[group] += keep;
+    return law;
+  }
   std::vector<double> compact;
   EXPECT_TRUE(protocol.outcome_distribution_alive(group, start, compact))
       << protocol.name();
@@ -131,9 +143,8 @@ TEST(BatchedOutcomeLaw, MedianMatchesUpdateChiSquare) {
   }
 }
 
-/// 3-majority-keep offers its per-group law only where a² <= k (the O(k)
-/// step_counts closed form is cheaper otherwise): four alive opinions
-/// spread over k = 16 slots.
+/// Four alive opinions spread over k = 16 slots: the keep-or-adopt law
+/// must put no mass on the extinct ones.
 Configuration keep_start(std::uint64_t c0, std::uint64_t c1, std::uint64_t c2,
                          std::uint64_t c3) {
   std::vector<std::uint64_t> counts(16, 0);
@@ -156,8 +167,9 @@ TEST(BatchedOutcomeLaw, ThreeMajorityKeepMatchesUpdateChiSquare) {
 }
 
 TEST(BatchedOutcomeLaw, ThreeMajorityKeepLawAgreesWithStepCounts) {
-  // The summed per-group laws must reproduce step_counts' expected next
-  // counts: E[next_j] = Σ_c count_c · q_c(j) = n·adopt_j + count_j·keep.
+  // The summed per-group laws must reproduce the keep-or-adopt round's
+  // expected next counts: E[next_j] = Σ_c count_c · q_c(j)
+  // = n·adopt_j + count_j·keep.
   const Configuration start = keep_start(250, 150, 80, 20);
   const auto protocol = make_protocol("3-majority-keep");
   const double n = static_cast<double>(start.num_vertices());

@@ -237,6 +237,38 @@ TEST(BlockEngine, FallbackPathMatchesLawPath) {
   EXPECT_NEAR(wl.variance() / wf.variance(), 1.0, 0.2);
 }
 
+TEST(BlockEngine, KeepOrAdoptMatchesGenericPathKs) {
+  // Keep-or-adopt rules draw O(a) keeper binomials plus one adopt
+  // multinomial per block; generic_only hides the hook and runs the exact
+  // per-vertex fallback. Two-sample KS on one slot count of one block
+  // after one round from fixed blocks.
+  const Configuration start({0, 200, 0, 100, 60, 0});
+  const std::uint64_t n = 360, B = 3;
+  const auto weights = make_weights(n, B);
+  const auto blocks = make_blocks(start, B, 43);
+  for (const char* name : {"2-choices", "3-majority-keep"}) {
+    const auto law = make_protocol(name);
+    const auto generic = make_generic_only(make_protocol(name));
+    support::Rng rng_l(44);
+    support::Rng rng_g(45);
+    std::vector<double> via_law, via_generic;
+    for (int t = 0; t < 4000; ++t) {
+      auto el = ClassCountingEngine::sbm(*law, blocks, weights);
+      el.step(rng_l);
+      via_law.push_back(
+          static_cast<double>(el.class_configuration(0).count(3)));
+      auto eg = ClassCountingEngine::sbm(*generic, blocks, weights);
+      eg.step(rng_g);
+      via_generic.push_back(
+          static_cast<double>(eg.class_configuration(0).count(3)));
+    }
+    const double d = support::ks_statistic(via_law, via_generic);
+    EXPECT_GT(support::ks_p_value(d, via_law.size(), via_generic.size()),
+              1e-4)
+        << name << ": KS d=" << d;
+  }
+}
+
 // ---------- EngineState round-trip ----------
 
 TEST(BlockEngine, StateRoundTripReproducesTrajectory) {

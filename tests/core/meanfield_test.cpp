@@ -148,10 +148,22 @@ void expect_round_counts_match_law(const char* name, const Configuration& start,
   const auto protocol = make_protocol(name);
   std::vector<double> expected_mass(start.num_opinions(), 0.0);
   const auto alive = start.alive();
+  std::vector<double> alpha(alive.size());
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    alpha[i] = start.alpha(alive[i]);
+  }
   for (const Opinion group : alive) {
+    // Keep-or-adopt rules: keep·δ_group + adopt over the compact α.
     std::vector<double> compact;
-    ASSERT_TRUE(protocol->outcome_distribution_alive(group, start, compact))
-        << name << ": need some exact law for the expectation";
+    double keep = 0.0;
+    if (protocol->keep_or_adopt(alpha, compact, keep)) {
+      for (std::size_t i = 0; i < alive.size(); ++i) {
+        if (alive[i] == group) compact[i] += keep;
+      }
+    } else {
+      ASSERT_TRUE(protocol->outcome_distribution_alive(group, start, compact))
+          << name << ": need some exact law for the expectation";
+    }
     for (std::size_t i = 0; i < alive.size(); ++i) {
       expected_mass[alive[i]] +=
           static_cast<double>(start.count(group)) * compact[i];
@@ -191,9 +203,8 @@ void expect_round_counts_match_law(const char* name, const Configuration& start,
 
 TEST(MeanFieldLaw, CountSamplerRoundMatchesExactLawChiSquare) {
   // Every protocol with a computable exact law; undecided has none and is
-  // covered by the KS tests below. 3-majority-keep and 2-choices expose
-  // their per-group law only where a² <= k: keep gets small_start's alive
-  // counts spread over k = 16 slots, 2-choices a two-alive start.
+  // covered by the KS tests below. 3-majority-keep gets small_start's
+  // alive counts spread over k = 16 slots, 2-choices a two-alive start.
   std::uint64_t seed = 0xbead;
   const Configuration wide_start(
       {160, 0, 90, 0, 0, 50, 100, 0, 0, 0, 0, 0, 0, 0, 0, 0});

@@ -3,9 +3,11 @@
 //  * Configuration's incremental alive index and cached gamma must agree
 //    with the dense definitions under every mutator (move, swap,
 //    assign_alive_counts);
-//  * `Protocol::outcome_distribution_alive` must be the dense mixture law
-//    at q = α restricted to the alive opinions, and — chi-square — exactly
-//    the law of `Protocol::update`, for every protocol implementing it;
+//  * `Protocol::outcome_distribution_alive` (or, for the keep-or-adopt
+//    rules, keep·δ_current + adopt from `Protocol::keep_or_adopt` over the
+//    compact α) must be the dense mixture law at q = α restricted to the
+//    alive opinions, and — chi-square — exactly the law of
+//    `Protocol::update`, for every protocol implementing it;
 //  * engine level: sparse CountingEngine rounds must draw from the same
 //    one-round law as the dense-only (step_counts or per-vertex) and
 //    per-vertex paths (KS test);
@@ -123,14 +125,34 @@ Configuration holey_config() {
   return Configuration({0, 300, 0, 0, 120, 0, 80, 0, 0, 0, 0, 0});
 }
 
+/// One vertex's law over the alive index for a holder of `group`: the
+/// alive law, or — for the keep-or-adopt rules, which have none —
+/// keep·δ_group + adopt from keep_or_adopt over the compact α, the law the
+/// counting engine samples for them.
+bool compact_law(const Protocol& protocol, const Configuration& cur,
+                 Opinion group, std::vector<double>& out) {
+  const auto alive = cur.alive();
+  std::vector<double> alpha(alive.size());
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    alpha[i] = cur.alpha(alive[i]);
+  }
+  double keep = 0.0;
+  if (protocol.keep_or_adopt(alpha, out, keep)) {
+    for (std::size_t i = 0; i < alive.size(); ++i) {
+      if (alive[i] == group) out[i] += keep;
+    }
+    return true;
+  }
+  return protocol.outcome_distribution_alive(group, cur, out);
+}
+
 /// The alive law must equal the mixture law evaluated at the holder's own
 /// frequencies q = α (a dense k-slot law), restricted to the alive slots.
 void expect_alive_law_matches_dense(const Protocol& protocol,
                                     const Configuration& cur,
                                     Opinion group) {
   std::vector<double> compact;
-  ASSERT_TRUE(protocol.outcome_distribution_alive(group, cur, compact))
-      << protocol.name();
+  ASSERT_TRUE(compact_law(protocol, cur, group, compact)) << protocol.name();
   const auto alive = cur.alive();
   ASSERT_EQ(compact.size(), alive.size()) << protocol.name();
   double total = 0.0;
@@ -203,15 +225,25 @@ TEST(SparseOutcomeLaw, VoterMatchesAlpha) {
   }
 }
 
-TEST(SparseOutcomeLaw, ClosedFormProtocolsDeclineWhenDenseIsCheaper) {
-  // Full support with a² > k: the O(k) closed forms win, so the sparse
-  // per-group laws must hand the round back (uniformly).
+TEST(SparseOutcomeLaw, KeepOrAdoptRulesTakeTheHookAtAnySupport) {
+  // Full support with a² > k, where a per-group alive law would cost
+  // O(a²) per round: the keep-or-adopt rules have neither a per-group
+  // alive law nor a k-wide closed form, and answer through keep_or_adopt
+  // at any support.
   const Configuration start = balanced(1600, 16);
+  const std::vector<double> alpha(16, 1.0 / 16.0);
   for (const char* name : {"3-majority-keep", "2-choices"}) {
     const auto protocol = make_protocol(name);
     std::vector<double> compact;
     EXPECT_FALSE(protocol->outcome_distribution_alive(0, start, compact))
         << name;
+    std::vector<std::uint64_t> next;
+    support::Rng rng(1);
+    EXPECT_FALSE(protocol->step_counts(start, next, rng)) << name;
+    double keep = -1.0;
+    ASSERT_TRUE(protocol->keep_or_adopt(alpha, compact, keep)) << name;
+    EXPECT_EQ(compact.size(), 16u) << name;
+    EXPECT_GT(keep, 0.0) << name;
   }
 }
 
@@ -247,8 +279,7 @@ void expect_sparse_law_matches_update(const Protocol& protocol,
                                       const Configuration& start,
                                       Opinion group, std::uint64_t seed) {
   std::vector<double> compact;
-  ASSERT_TRUE(protocol.outcome_distribution_alive(group, start, compact))
-      << protocol.name();
+  ASSERT_TRUE(compact_law(protocol, start, group, compact)) << protocol.name();
   const auto alive = start.alive();
   ASSERT_EQ(compact.size(), alive.size());
 
