@@ -454,9 +454,10 @@ int main(int argc, char** argv) {
 
   // --- structured SBM: block-counting vs agent (implicit / explicit) ----
   const auto sbm_scenario = [&](std::uint64_t n, const char* kind,
-                                api::EngineChoice engine) {
+                                api::EngineChoice engine,
+                                const char* protocol = "3-majority") {
     api::ScenarioSpec spec;
-    spec.protocol = "3-majority";
+    spec.protocol = protocol;
     spec.n = n;
     spec.k = k;
     spec.engine = engine;
@@ -513,16 +514,21 @@ int main(int argc, char** argv) {
   }
   // n-independent headline: the block engine at n = 10^8 (default) — the
   // whole scenario (graph descriptor + engine) never materialises a CSR.
+  // 2-Choices runs the keep-or-adopt round (O(a) keeper binomials plus
+  // one adopt multinomial per block).
   for (std::uint64_t n : n_sbm_block) {
-    const auto sim = sbm_scenario(n, "sbm", api::EngineChoice::kBlock);
-    const auto engine = sim.make_engine();
-    const auto init_state = engine->capture_state();
-    support::Rng rng(11);
-    results.push_back(
-        measure("counting-block", "3-majority", n, k, seconds, [&] {
-          engine->step(rng);
-          engine->restore_state(init_state);
-        }));
+    for (const char* protocol : {"3-majority", "2-choices"}) {
+      const auto sim =
+          sbm_scenario(n, "sbm", api::EngineChoice::kBlock, protocol);
+      const auto engine = sim.make_engine();
+      const auto init_state = engine->capture_state();
+      support::Rng rng(11);
+      results.push_back(
+          measure("counting-block", protocol, n, k, seconds, [&] {
+            engine->step(rng);
+            engine->restore_state(init_state);
+          }));
+    }
   }
 
   // --- configuration model: degree-class vs agent (implicit / CSR) ------
