@@ -24,6 +24,7 @@
 #include "consensus/support/sampling.hpp"
 #include "consensus/support/stats.hpp"
 #include "consensus/support/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace consensus::core {
 namespace {
@@ -57,24 +58,14 @@ class ConfigSampler final : public OpinionSampler {
 constexpr double kChi2Crit[9] = {0.0,   15.14, 18.42, 21.11, 23.51,
                                  25.74, 27.86, 29.88, 31.83};
 
-/// The one-vertex law of `group` by slot: keep·δ_group + adopt from
-/// keep_or_adopt at q = α for the keep-or-adopt rules, else the alive law
-/// scattered back to all k slots (extinct slots get probability 0).
+/// The compact one-vertex law of `group` (the alive law, or keep·δ_group
+/// + adopt for the keep-or-adopt rules) scattered back to all k slots
+/// (extinct slots get probability 0).
 std::vector<double> alive_law_by_slot(const Protocol& protocol,
                                       const Configuration& start,
                                       Opinion group) {
-  std::vector<double> alpha(start.num_opinions());
-  for (std::size_t j = 0; j < alpha.size(); ++j) {
-    alpha[j] = start.alpha(static_cast<Opinion>(j));
-  }
-  std::vector<double> law;
-  double keep = 0.0;
-  if (protocol.keep_or_adopt(alpha, law, keep)) {
-    law[group] += keep;
-    return law;
-  }
   std::vector<double> compact;
-  EXPECT_TRUE(protocol.outcome_distribution_alive(group, start, compact))
+  EXPECT_TRUE(testing::compact_law(protocol, start, group, compact))
       << protocol.name();
   EXPECT_EQ(compact.size(), start.support_size()) << protocol.name();
   std::vector<double> probs(start.num_opinions(), 0.0);

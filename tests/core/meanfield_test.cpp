@@ -28,6 +28,7 @@
 #include "consensus/graph/generators.hpp"
 #include "consensus/support/stats.hpp"
 #include "consensus/support/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace consensus::core {
 namespace {
@@ -148,22 +149,10 @@ void expect_round_counts_match_law(const char* name, const Configuration& start,
   const auto protocol = make_protocol(name);
   std::vector<double> expected_mass(start.num_opinions(), 0.0);
   const auto alive = start.alive();
-  std::vector<double> alpha(alive.size());
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    alpha[i] = start.alpha(alive[i]);
-  }
   for (const Opinion group : alive) {
-    // Keep-or-adopt rules: keep·δ_group + adopt over the compact α.
     std::vector<double> compact;
-    double keep = 0.0;
-    if (protocol->keep_or_adopt(alpha, compact, keep)) {
-      for (std::size_t i = 0; i < alive.size(); ++i) {
-        if (alive[i] == group) compact[i] += keep;
-      }
-    } else {
-      ASSERT_TRUE(protocol->outcome_distribution_alive(group, start, compact))
-          << name << ": need some exact law for the expectation";
-    }
+    ASSERT_TRUE(testing::compact_law(*protocol, start, group, compact))
+        << name << ": need some exact law for the expectation";
     for (std::size_t i = 0; i < alive.size(); ++i) {
       expected_mass[alive[i]] +=
           static_cast<double>(start.count(group)) * compact[i];

@@ -28,6 +28,7 @@
 #include "consensus/support/sampling.hpp"
 #include "consensus/support/stats.hpp"
 #include "consensus/support/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace consensus::core {
 namespace {
@@ -125,34 +126,13 @@ Configuration holey_config() {
   return Configuration({0, 300, 0, 0, 120, 0, 80, 0, 0, 0, 0, 0});
 }
 
-/// One vertex's law over the alive index for a holder of `group`: the
-/// alive law, or — for the keep-or-adopt rules, which have none —
-/// keep·δ_group + adopt from keep_or_adopt over the compact α, the law the
-/// counting engine samples for them.
-bool compact_law(const Protocol& protocol, const Configuration& cur,
-                 Opinion group, std::vector<double>& out) {
-  const auto alive = cur.alive();
-  std::vector<double> alpha(alive.size());
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    alpha[i] = cur.alpha(alive[i]);
-  }
-  double keep = 0.0;
-  if (protocol.keep_or_adopt(alpha, out, keep)) {
-    for (std::size_t i = 0; i < alive.size(); ++i) {
-      if (alive[i] == group) out[i] += keep;
-    }
-    return true;
-  }
-  return protocol.outcome_distribution_alive(group, cur, out);
-}
-
 /// The alive law must equal the mixture law evaluated at the holder's own
 /// frequencies q = α (a dense k-slot law), restricted to the alive slots.
 void expect_alive_law_matches_dense(const Protocol& protocol,
                                     const Configuration& cur,
                                     Opinion group) {
   std::vector<double> compact;
-  ASSERT_TRUE(compact_law(protocol, cur, group, compact)) << protocol.name();
+  ASSERT_TRUE(testing::compact_law(protocol, cur, group, compact)) << protocol.name();
   const auto alive = cur.alive();
   ASSERT_EQ(compact.size(), alive.size()) << protocol.name();
   double total = 0.0;
@@ -279,7 +259,7 @@ void expect_sparse_law_matches_update(const Protocol& protocol,
                                       const Configuration& start,
                                       Opinion group, std::uint64_t seed) {
   std::vector<double> compact;
-  ASSERT_TRUE(compact_law(protocol, start, group, compact)) << protocol.name();
+  ASSERT_TRUE(testing::compact_law(protocol, start, group, compact)) << protocol.name();
   const auto alive = start.alive();
   ASSERT_EQ(compact.size(), alive.size());
 

@@ -1,4 +1,5 @@
-// Shared test helpers: Monte-Carlo summaries and collision-free temp paths.
+// Shared test helpers: Monte-Carlo summaries, collision-free temp paths and
+// the compact one-vertex law of a protocol.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "consensus/core/protocol.hpp"
 #include "consensus/support/rng.hpp"
 #include "consensus/support/stats.hpp"
 
@@ -49,6 +51,28 @@ inline support::Welford monte_carlo(std::size_t trials,
 inline bool mean_close(const support::Welford& w, double expected,
                        double z = 5.0, double atol = 1e-12) {
   return std::fabs(w.mean() - expected) <= z * w.sem() + atol;
+}
+
+/// One vertex's law over cur.alive() for a holder of `group`
+/// (out[i] = P(next = alive[i])): keep·δ_group + adopt from keep_or_adopt
+/// over the compact α for the keep-or-adopt rules, which have no alive
+/// law, else the alive law. False when the protocol offers neither.
+inline bool compact_law(const core::Protocol& protocol,
+                        const core::Configuration& cur, core::Opinion group,
+                        std::vector<double>& out) {
+  const auto alive = cur.alive();
+  std::vector<double> alpha(alive.size());
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    alpha[i] = cur.alpha(alive[i]);
+  }
+  double keep = 0.0;
+  if (protocol.keep_or_adopt(alpha, out, keep)) {
+    for (std::size_t i = 0; i < alive.size(); ++i) {
+      if (alive[i] == group) out[i] += keep;
+    }
+    return true;
+  }
+  return protocol.outcome_distribution_alive(group, cur, out);
 }
 
 }  // namespace consensus::testing
