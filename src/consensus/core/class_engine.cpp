@@ -1,5 +1,6 @@
 #include "consensus/core/class_engine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "consensus/core/fused.hpp"
@@ -181,6 +182,7 @@ void ClassCountingEngine::step(support::Rng& rng) {
     for (const double w : law.adopt) law.total += w;
   }
   fallback_mixture_ = kNoTable;
+  law_mixture_ = kNoTable;
   // Phase 2 — transition: every q is fully built from the round-t state,
   // so classes can commit in order without aliasing the mixing inputs.
   for (std::size_t c = 0; c < C; ++c) step_class(c, rng);
@@ -203,8 +205,13 @@ void ClassCountingEngine::step_class(std::size_t c, support::Rng& rng) {
       next_[o] = support::binomial(rng, counts[o], law.keep);
       movers -= next_[o];
     }
-    support::multinomial_into(rng, movers, law.adopt, law.total, group_out_);
-    for (std::size_t j = 0; j < num_slots_; ++j) next_[j] += group_out_[j];
+    if (use_law_table(mixture_of(c), movers, law.adopt)) {
+      law_table_.add_counts(rng, movers, next_);
+    } else {
+      support::multinomial_into(rng, movers, law.adopt, law.total,
+                                group_out_);
+      for (std::size_t j = 0; j < num_slots_; ++j) next_[j] += group_out_[j];
+    }
     commit_class(c);
     return;
   }
@@ -215,7 +222,12 @@ void ClassCountingEngine::step_class(std::size_t c, support::Rng& rng) {
       fallback_class(c, rng);
       return;
     }
-    support::multinomial_into(rng, n_c, probs_, next_);
+    if (use_law_table(mixture_of(c), n_c, probs_)) {
+      next_.assign(num_slots_, 0);
+      law_table_.add_counts(rng, n_c, next_);
+    } else {
+      support::multinomial_into(rng, n_c, probs_, next_);
+    }
     commit_class(c);
     return;
   }
@@ -243,6 +255,27 @@ void ClassCountingEngine::step_class(std::size_t c, support::Rng& rng) {
     }
   }
   commit_class(c);
+}
+
+bool ClassCountingEngine::use_law_table(std::size_t r, std::uint64_t n,
+                                        std::span<const double> law) {
+  // The law's values depend only on the mixture (protocol.hpp: on
+  // (current, sampling), and these laws ignore current; n_hint only gates
+  // acceptance), so a and the table of the first class of mixture r serve
+  // every later class of r this round. Building draws no randomness.
+  if (law_mixture_ != r) {
+    law_mixture_ = r;
+    law_support_ = static_cast<std::size_t>(std::count_if(
+        law.begin(), law.end(), [](double w) { return w > 0.0; }));
+    law_table_built_ = false;
+  }
+  // n == 0 places nothing; the cascade returns the zero vector at once.
+  if (n == 0 || !support::prefer_table_counting(n, law_support_)) return false;
+  if (!law_table_built_) {
+    law_table_.rebuild(law);
+    law_table_built_ = true;
+  }
+  return true;
 }
 
 void ClassCountingEngine::fallback_class(std::size_t c, support::Rng& rng) {

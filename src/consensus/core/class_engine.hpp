@@ -13,14 +13,20 @@
 //   2. TRANSITION — keep-or-adopt rules (`Protocol::keep_or_adopt`:
 //      2-Choices, 3-Majority-keep) build one adopt law per mixture; each
 //      class then draws Bin(count_o, keep) keepers per alive opinion o and
-//      ONE Multinomial(movers, adopt): O(a) binomials plus one k-wide
-//      cascade per class. Every other rule advances through the
-//      protocol's MIXTURE law (`outcome_distribution_mixture`, with q in
-//      place of α): anonymous rules draw one Multinomial(n_c, law) per
+//      one Multinomial(movers, adopt). Every other rule advances through
+//      the protocol's MIXTURE law (`outcome_distribution_mixture`, with q
+//      in place of α): anonymous rules draw one Multinomial(n_c, law) per
 //      class, current-dependent rules one multinomial per (class, alive
-//      group). When the law declines (over budget), the class falls back
-//      to per-vertex `update` calls against an alias sampler over its q —
-//      exact, just O(n_c).
+//      group). The adopt law and the anonymous law depend on the mixture
+//      alone, so each of their multinomials picks its method by
+//      support::prefer_table_counting on (trials, a = positive law
+//      weights): up to 8·a trials are counted draws from one
+//      support::AliasCounter over the law, built at most once per mixture
+//      per round; larger draws run the conditional-binomial cascade
+//      (close to a binomials). Per-(class, group) laws always cascade — no
+//      table would be shared. When the law declines (over budget), the
+//      class falls back to per-vertex `update` calls against an alias
+//      sampler over its q — exact, just O(n_c).
 //
 // A round therefore costs O(R·C·a + C·k) arithmetic plus the multinomial
 // draws — independent of n on the law path. Two graph families use it,
@@ -120,6 +126,12 @@ class ClassCountingEngine final : public Engine {
   }
   void step_class(std::size_t c, support::Rng& rng);
   void fallback_class(std::size_t c, support::Rng& rng);
+  /// Method rule for a Multinomial(n, law) over mixture r's shared law:
+  /// true when n table draws (support::prefer_table_counting on n and the
+  /// law's positive-weight count a) beat the cascade, with `law_table_`
+  /// then built over `law`.
+  bool use_law_table(std::size_t r, std::uint64_t n,
+                     std::span<const double> law);
   /// Swaps `next_` (summing to n_c) into class c and updates the aggregate.
   void commit_class(std::size_t c);
 
@@ -149,6 +161,13 @@ class ClassCountingEngine final : public Engine {
   // falls back. Classes sharing a mixture share one build per round.
   static constexpr std::size_t kNoTable = static_cast<std::size_t>(-1);
   std::size_t fallback_mixture_ = kNoTable;
+  // Table counting for the per-mixture laws (anonymous law, adopt law):
+  // the positive-weight count of mixture law_mixture_'s law this round and
+  // its table, built at most once per mixture per round, on first use.
+  support::AliasCounter law_table_;
+  std::size_t law_mixture_ = kNoTable;
+  std::size_t law_support_ = 0;
+  bool law_table_built_ = false;
 };
 
 }  // namespace consensus::core

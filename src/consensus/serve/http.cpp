@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <chrono>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -27,11 +28,11 @@ std::string trim(std::string_view s) {
   return std::string(s.substr(b, e - b));
 }
 
-/// Parses a whole unsigned `text` (surrounding whitespace allowed) in
-/// `base`: no sign, no prefix, no trailing characters, no wrap-around.
-std::size_t parse_size(std::string_view text, int base, const char* what) {
+}  // namespace
+
+std::uint64_t parse_size(std::string_view text, int base, const char* what) {
   const std::string digits = trim(text);
-  std::size_t value = 0;
+  std::uint64_t value = 0;
   const char* end = digits.data() + digits.size();
   const auto [stop, ec] = std::from_chars(digits.data(), end, value, base);
   if (digits.empty() || ec != std::errc() || stop != end) {
@@ -40,6 +41,8 @@ std::size_t parse_size(std::string_view text, int base, const char* what) {
   }
   return value;
 }
+
+namespace {
 
 /// Size of a chunk from its header line: hex digits, then an optional
 /// ";extension" that is ignored.
@@ -369,10 +372,15 @@ std::uint64_t retry_delay_ms(const RetryPolicy& policy, std::size_t attempt,
     const auto it = response->headers.find("retry-after");
     if (it != response->headers.end()) {
       try {
-        return std::stoull(it->second) * 1000;
+        const std::uint64_t seconds =
+            parse_size(it->second, 10, "Retry-After");
+        if (seconds <= std::numeric_limits<std::uint64_t>::max() / 1000) {
+          return seconds * 1000;
+        }
       } catch (const std::exception&) {
-        // Unparseable header: fall through to computed backoff.
       }
+      // Unparseable or past what milliseconds can hold: fall through to
+      // computed backoff.
     }
   }
   std::uint64_t delay = policy.base_delay_ms;

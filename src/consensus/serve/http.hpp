@@ -32,6 +32,11 @@ struct HttpRequest {
                           const std::string& fallback = "") const;
 };
 
+/// Parses a whole unsigned `text` (surrounding whitespace allowed) in
+/// `base`: no sign, no prefix, no trailing characters, no wrap-around.
+/// Throws std::runtime_error naming `what` otherwise.
+std::uint64_t parse_size(std::string_view text, int base, const char* what);
+
 /// Reads one request. Returns false on a clean EOF before any bytes (the
 /// peer closed an idle connection); throws std::runtime_error on malformed
 /// framing or a body larger than `max_body`.

@@ -227,7 +227,7 @@ void Server::handle_submit(support::TcpStream& stream,
     if (kind == JobKind::kScenario) {
       (void)api::ScenarioSpec::from_json_text(job_request.spec_text);
       job_request.replications =
-          std::stoull(request.query_value("reps", "1"));
+          parse_size(request.query_value("reps", "1"), 10, "reps");
       if (job_request.replications == 0) {
         throw std::invalid_argument("reps must be >= 1");
       }
@@ -268,7 +268,7 @@ void Server::handle_job_get(support::TcpStream& stream,
   const std::string id_text = request.path.substr(6);  // after "/jobs/"
   std::uint64_t id = 0;
   try {
-    id = std::stoull(id_text);
+    id = parse_size(id_text, 10, "job id");
   } catch (const std::exception&) {
     write_response(stream, 400, "application/json",
                    error_body("bad job id '" + id_text + "'"));
@@ -321,7 +321,7 @@ void Server::handle_job_get(support::TcpStream& stream,
   // dropped resumes at the first line it has not seen (follow_job_stream).
   std::size_t cursor = 0;
   try {
-    cursor = std::stoull(request.query_value("from", "0"));
+    cursor = parse_size(request.query_value("from", "0"), 10, "from");
   } catch (const std::exception&) {
     write_response(stream, 400, "application/json",
                    error_body("bad from cursor '" +
@@ -366,7 +366,7 @@ void Server::handle_job_delete(support::TcpStream& stream,
   const std::string id_text = request.path.substr(6);  // after "/jobs/"
   std::uint64_t id = 0;
   try {
-    id = std::stoull(id_text);
+    id = parse_size(id_text, 10, "job id");
   } catch (const std::exception&) {
     write_response(stream, 400, "application/json",
                    error_body("bad job id '" + id_text + "'"));

@@ -368,6 +368,27 @@ void AliasTable::rebuild(std::span<const double> weights) {
   }
 }
 
+void AliasCounter::rebuild(std::span<const double> weights) {
+  slots_.clear();
+  weights_.clear();
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (weights[i] < 0.0)
+      throw std::invalid_argument("AliasCounter: negative weight");
+    if (weights[i] > 0.0) {
+      slots_.push_back(static_cast<std::uint32_t>(i));
+      weights_.push_back(weights[i]);
+    }
+  }
+  if (slots_.empty())
+    throw std::invalid_argument("AliasCounter: weights sum to zero");
+  table_.rebuild(weights_);
+}
+
+void AliasCounter::add_counts(Rng& rng, std::uint64_t n,
+                              std::span<std::uint64_t> out) const {
+  for (std::uint64_t i = 0; i < n; ++i) ++out[slots_[table_.sample(rng)]];
+}
+
 void IncrementalCountAlias::reset(std::span<const std::uint64_t> counts) {
   counts_.assign(counts.begin(), counts.end());
   support_.clear();

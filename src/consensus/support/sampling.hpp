@@ -28,11 +28,15 @@ namespace consensus::support {
 ///   4  keep-or-adopt rounds (2-Choices, 3-Majority-keep): O(a) keeper
 ///      binomials plus one adopt multinomial per class, in place of one
 ///      multinomial per alive group; unchanged on the K_n closed form
+///   5  class-engine multinomials over a per-mixture law (the anonymous
+///      law, the keep-or-adopt adopt law) with n <= 8·a trials count n
+///      draws from one alias table over the law's a positive weights
+///      (AliasCounter) in place of the cascade; K_n rounds unchanged
 ///      (current)
 /// core::EngineCheckpoint records this value on save and refuses to load
 /// under a different one — a version mismatch is a clear error instead of
 /// a silently divergent resumed trajectory.
-inline constexpr std::uint32_t kRngDrawPathVersion = 4;
+inline constexpr std::uint32_t kRngDrawPathVersion = 5;
 
 /// Exact Binomial(n, p) sample. Handles all edge cases (p<=0, p>=1, n==0).
 /// Cost: O(np) for small np (inversion), O(1) expected otherwise (BTRS).
@@ -62,6 +66,20 @@ void multinomial_into(Rng& rng, std::uint64_t n,
 void multinomial_into(Rng& rng, std::uint64_t n,
                       std::span<const double> weights, double total_weight,
                       std::vector<std::uint64_t>& out);
+
+/// Method rule for a multinomial of n trials over a law with a positive
+/// weights that one alias table can serve for several draws: counting n
+/// AliasCounter draws (O(n) after one O(k + a) build) beats the
+/// conditional-binomial cascade (close to a binomials) while
+/// n <= kTableCountingFactor · a. A pure function of (n, a) — never of
+/// threads, timing or workload — so the draw path, and with it every
+/// trajectory, is fixed by the counts alone. The factor sits well under
+/// the measured crossover (n ≈ 25·a at k = a = 1024); end-to-end runs at
+/// k = 1024 did not separate factors 4, 8 and 16 beyond run-to-run spread.
+inline constexpr std::uint64_t kTableCountingFactor = 8;
+constexpr bool prefer_table_counting(std::uint64_t n, std::size_t a) noexcept {
+  return n <= kTableCountingFactor * a;
+}
 
 /// Exact Hypergeometric(population N, successes K, draws n) via inversion.
 /// Returns number of successes among the draws. O(result) time.
@@ -249,6 +267,34 @@ class AliasTable {
   std::vector<std::uint64_t> threshold_;  // ceil(prob·2^53), single-draw path
   std::uint64_t mask_ = 0;     // bit_ceil(size) − 1 when single_draw_
   bool single_draw_ = false;
+};
+
+/// Exact Multinomial(n, weights) by counting n independent categorical
+/// draws — the alternative to multinomial_into's cascade when n is small
+/// against the support (prefer_table_counting). The Vose table is built
+/// over the a positive-weight slots only, so a zero weight can never
+/// receive a count, and one build serves every draw over the same law.
+class AliasCounter {
+ public:
+  /// O(k) scan for the positive slots plus an O(a) Vose build over their
+  /// weights. Weights must be non-negative with a positive sum.
+  void rebuild(std::span<const double> weights);
+
+  /// a: the number of positive weights of the last build.
+  std::size_t support_size() const noexcept { return slots_.size(); }
+
+  /// Adds the counts of n draws to `out`, which must span the build's
+  /// weights. Draw path: n AliasTable::sample calls on the compact a-slot
+  /// table, one after another (one RNG word each in expectation close to
+  /// one while a <= 2048, two past that); draw i adds 1 to the slot it
+  /// lands on. O(n), no cascade and no O(k) pass.
+  void add_counts(Rng& rng, std::uint64_t n,
+                  std::span<std::uint64_t> out) const;
+
+ private:
+  std::vector<std::uint32_t> slots_;  // positive-weight slots, ascending
+  std::vector<double> weights_;       // their weights, compact
+  AliasTable table_;                  // over slots_ positions
 };
 
 /// Alias sampler over an integer count vector whose per-round rebuild is

@@ -111,17 +111,17 @@ TEST(ClassEngineGolden, SbmHMajorityFallbackThenLaw) {
 
 TEST(ClassEngineGolden, DegreeClassThreeMajority) {
   expect_golden(record(degree_class_spec(), "3-majority"),
-                {13, 2, 5135472272200925273ull, 15823242671431576178ull});
+                {17, 2, 11836785575337925975ull, 17559018247733240580ull});
 }
 
 TEST(ClassEngineGolden, DegreeClassTwoChoices) {
   expect_golden(record(degree_class_spec(), "2-choices"),
-                {20, 2, 13489266914936210878ull, 18134047419899853347ull});
+                {21, 2, 17820501246551157164ull, 16340271269741365394ull});
 }
 
 TEST(ClassEngineGolden, DegreeClassHMajorityFallbackThenLaw) {
   expect_golden(record(degree_class_spec(), "h-majority:9", 40),
-                {11, 33, 9516755815789694830ull, 10947352563089984717ull});
+                {10, 33, 17928270790663790782ull, 10947352563089984717ull});
 }
 
 }  // namespace

@@ -122,6 +122,82 @@ TEST(DegreeClassEngine, DeterministicInSeed) {
   }
 }
 
+// ---------- multinomial method rule ----------
+
+// One round replayed by hand: the shared mixture, its law, then per class
+// support::AliasCounter draws when support::prefer_table_counting(trials,
+// a) holds and the cascade otherwise. Bit-identical class counts pin the
+// engine's choice to (trials, a) and nothing else. k = 8 with two extinct
+// slots gives a = 6, so classes of 40 and 48 vertices take the table and
+// 49 and 2000 the cascade (2-Choices applies the rule to its movers).
+TEST(DegreeClassEngine, MethodRuleFollowsTrialsAndSupport) {
+  const std::vector<Configuration> start{
+      Configuration({10, 5, 5, 0, 5, 5, 10, 0}),
+      Configuration({8, 8, 8, 0, 8, 8, 8, 0}),
+      Configuration({9, 8, 8, 0, 8, 8, 8, 0}),
+      Configuration({400, 300, 300, 0, 300, 300, 400, 0})};
+  const std::vector<std::uint64_t> degrees{3, 5, 8, 40};
+  const std::size_t k = 8;
+  for (const char* name : {"3-majority", "2-choices"}) {
+    SCOPED_TRACE(name);
+    const auto protocol = make_protocol(name);
+    auto engine =
+        ClassCountingEngine::degree_classes(*protocol, start, degrees);
+    support::Rng rng_engine(77);
+    engine.step(rng_engine);
+
+    std::uint64_t stubs = 0;
+    for (std::size_t c = 0; c < start.size(); ++c) {
+      stubs += degrees[c] * start[c].num_vertices();
+    }
+    const double inv_m = 1.0 / static_cast<double>(stubs);
+    std::vector<double> q(k, 0.0);
+    for (std::size_t c = 0; c < start.size(); ++c) {
+      const double coeff = static_cast<double>(degrees[c]) * inv_m;
+      for (std::size_t j = 0; j < k; ++j) {
+        q[j] += coeff * static_cast<double>(start[c].counts()[j]);
+      }
+    }
+    std::vector<double> law;
+    double keep = 0.0;
+    const bool keep_or_adopt = protocol->keep_or_adopt(q, law, keep);
+    if (!keep_or_adopt) {
+      ASSERT_TRUE(protocol->outcome_distribution_mixture(0, q, 0, law));
+    }
+    const std::size_t a = static_cast<std::size_t>(std::count_if(
+        law.begin(), law.end(), [](double w) { return w > 0.0; }));
+    ASSERT_EQ(a, 6u);
+    support::AliasCounter table;
+    table.rebuild(law);
+
+    support::Rng rng(77);
+    std::size_t by_table = 0;
+    for (std::size_t c = 0; c < start.size(); ++c) {
+      std::vector<std::uint64_t> next(k, 0);
+      std::uint64_t trials = start[c].num_vertices();
+      if (keep_or_adopt) {
+        for (const Opinion o : start[c].alive()) {
+          next[o] = support::binomial(rng, start[c].counts()[o], keep);
+          trials -= next[o];
+        }
+      }
+      if (trials > 0 && support::prefer_table_counting(trials, a)) {
+        table.add_counts(rng, trials, next);
+        ++by_table;
+      } else {
+        std::vector<std::uint64_t> drawn;
+        support::multinomial_into(rng, trials, law, drawn);
+        for (std::size_t j = 0; j < k; ++j) next[j] += drawn[j];
+      }
+      EXPECT_TRUE(
+          std::ranges::equal(engine.class_configuration(c).counts(), next))
+          << "class " << c;
+    }
+    EXPECT_GE(by_table, 1u);
+    EXPECT_LT(by_table, start.size());
+  }
+}
+
 // ---------- cross-validation vs agent engine on the annealed graph ----------
 
 struct DegreeCase {

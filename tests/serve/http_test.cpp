@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -190,6 +191,38 @@ TEST(HttpFraming, ResponseReaderRejectsMalformedSizes) {
         std::runtime_error)
         << head;
   }
+}
+
+TEST(HttpRetry, MalformedRetryAfterFallsBackToComputedBackoff) {
+  // Two 503s whose Retry-After the client must not trust: a negative
+  // value, and one whose milliseconds overflow 2^64 (× 1000 would wrap to
+  // about 60 s). Both take the 1 ms computed backoff; the third try lands.
+  TcpListener listener(0);
+  std::thread server([&listener] {
+    for (const char* retry_after : {"-1", "18446744073709612", ""}) {
+      TcpStream conn = listener.accept();
+      ASSERT_TRUE(conn.valid());
+      HttpRequest request;
+      ASSERT_TRUE(read_request(conn, &request));
+      if (*retry_after == '\0') {
+        write_response(conn, 200, "text/plain", "ok");
+      } else {
+        write_response(conn, 503, "text/plain", "busy",
+                       {{"Retry-After", retry_after}});
+      }
+    }
+  });
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.base_delay_ms = 1;
+  policy.max_delay_ms = 1;
+  const auto start = std::chrono::steady_clock::now();
+  const HttpResponse response = http_request_retry(
+      "127.0.0.1", listener.port(), "GET", "/x", {}, "text/plain", policy);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  server.join();
+  EXPECT_EQ(response.status, 200);
+  EXPECT_LT(waited, std::chrono::seconds(10));
 }
 
 TEST(HttpFraming, IdleCloseReadsAsCleanEof) {

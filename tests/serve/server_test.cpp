@@ -172,6 +172,40 @@ TEST(Server, ScenarioRepsStreamOneTrialPerReplication) {
   EXPECT_EQ(summary.at("stats").at("replications").as_uint(), 3u);
 }
 
+TEST(Server, MalformedIntegerParametersAreRejectedWith400) {
+  Server server(ServerOptions{});
+  server.start();
+  const std::string spec = tiny_scenario().to_json_text();
+  // A sign, trailing junk, or a value past 2^64 − 1 is the submitter's
+  // 400 — never a wrapped count that the job later fails on.
+  for (const char* reps : {"-1", "5x", "18446744073709551616"}) {
+    const HttpResponse response =
+        http_request("127.0.0.1", server.port(), "POST",
+                     std::string("/scenario?reps=") + reps, spec);
+    EXPECT_EQ(response.status, 400) << "reps=" << reps << ": "
+                                    << response.body;
+  }
+  const std::uint64_t job = submit(server.port(), "/scenario", spec);
+  const std::string path = "/jobs/" + std::to_string(job);
+  EXPECT_EQ(http_request("127.0.0.1", server.port(), "GET", path + "?from=-1")
+                .status,
+            400);
+  for (const char* id : {"-1", "1x", "18446744073709551616"}) {
+    EXPECT_EQ(http_request("127.0.0.1", server.port(), "GET",
+                           std::string("/jobs/") + id + "?wait=0")
+                  .status,
+              400)
+        << "GET id " << id;
+    EXPECT_EQ(http_request("127.0.0.1", server.port(), "DELETE",
+                           std::string("/jobs/") + id)
+                  .status,
+              400)
+        << "DELETE id " << id;
+  }
+  EXPECT_EQ(stream_job(server.port(), job).size(), 2u);  // trial + summary
+  server.stop();
+}
+
 TEST(Server, SweepJobAggregateMatchesOfflineRun) {
   Server server(ServerOptions{});
   server.start();

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -368,6 +370,152 @@ TEST(IncrementalCountAlias, RejectsEmptySupport) {
   IncrementalCountAlias alias;
   EXPECT_THROW(alias.reset(std::vector<std::uint64_t>{0, 0, 0}),
                std::invalid_argument);
+}
+
+// ---------- table counting ----------
+
+// 99.99th percentile of chi²(dof) by the Wilson–Hilferty cube
+// approximation (z = 3.719).
+double chi2_quantile_9999(std::size_t dof) {
+  const double d = static_cast<double>(dof);
+  const double t = 1.0 - 2.0 / (9.0 * d) + 3.719 * std::sqrt(2.0 / (9.0 * d));
+  return d * t * t * t;
+}
+
+// Checks AliasCounter::add_counts against the cascade on one law: every
+// draw places exactly n trials and none on a zero weight; the table's
+// per-slot totals over all draws fit the law (pooled chi-square over the
+// positive slots); and the count the two methods put on the first third of
+// the slots, a Bin(n, P) variable, has the same distribution under both
+// (two-sample chi-square over standardised bins).
+void expect_table_matches_cascade(std::span<const double> weights,
+                                  std::uint64_t n, std::uint64_t seed) {
+  constexpr std::size_t kDraws = 3000;
+  const std::size_t k = weights.size();
+  const std::size_t block = k / 3;
+  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+  const double p_block =
+      std::accumulate(weights.begin(), weights.begin() + block, 0.0) / total;
+  const double mean = static_cast<double>(n) * p_block;
+  const double sd = std::sqrt(mean * (1.0 - p_block));
+  const auto bin_of = [&](std::uint64_t x) {
+    const double z = (static_cast<double>(x) - mean) / sd;
+    const double edges[] = {-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0};
+    return static_cast<std::size_t>(std::upper_bound(std::begin(edges),
+                                                     std::end(edges), z) -
+                                    std::begin(edges));
+  };
+
+  AliasCounter table;
+  table.rebuild(weights);
+  Rng rng_table(seed);
+  Rng rng_cascade(seed + 1);
+  std::vector<std::uint64_t> pooled(k, 0);
+  std::vector<std::uint64_t> table_bins(10, 0);
+  std::vector<std::uint64_t> cascade_bins(10, 0);
+  std::vector<std::uint64_t> out(k);
+  for (std::size_t d = 0; d < kDraws; ++d) {
+    std::fill(out.begin(), out.end(), 0);
+    table.add_counts(rng_table, n, out);
+    ASSERT_EQ(std::accumulate(out.begin(), out.end(), std::uint64_t{0}), n);
+    for (std::size_t j = 0; j < k; ++j) {
+      if (weights[j] == 0.0) {
+        ASSERT_EQ(out[j], 0u) << "zero-weight slot " << j;
+      }
+      pooled[j] += out[j];
+    }
+    ++table_bins[bin_of(std::accumulate(out.begin(), out.begin() + block,
+                                        std::uint64_t{0}))];
+    multinomial_into(rng_cascade, n, weights, out);
+    ++cascade_bins[bin_of(std::accumulate(out.begin(), out.begin() + block,
+                                          std::uint64_t{0}))];
+  }
+
+  std::vector<std::uint64_t> observed;
+  std::vector<double> expected;
+  for (std::size_t j = 0; j < k; ++j) {
+    if (weights[j] == 0.0) continue;
+    observed.push_back(pooled[j]);
+    expected.push_back(static_cast<double>(kDraws * n) * weights[j] / total);
+  }
+  const double fit = chi_squared_statistic(observed, expected);
+  EXPECT_LT(fit, chi2_quantile_9999(observed.size() - 1))
+      << "k " << k << " n " << n << ": pooled chi2 " << fit;
+
+  // Equal sample sizes: Σ (A − B)² / (A + B) over the non-empty bins.
+  double homogeneity = 0.0;
+  std::size_t used = 0;
+  for (std::size_t b = 0; b < table_bins.size(); ++b) {
+    const double a = static_cast<double>(table_bins[b]);
+    const double c = static_cast<double>(cascade_bins[b]);
+    if (a + c == 0.0) continue;
+    homogeneity += (a - c) * (a - c) / (a + c);
+    ++used;
+  }
+  EXPECT_LT(homogeneity, chi2_quantile_9999(used - 1))
+      << "k " << k << " n " << n << ": two-sample chi2 " << homogeneity;
+}
+
+TEST(TableCounting, MatchesCascadeAtK1024NearUniform) {
+  // Near-uniform law over k = a = 1024 slots, at trial counts below, at and
+  // above the 8·a crossover of prefer_table_counting.
+  std::vector<double> weights(1024);
+  for (std::size_t j = 0; j < weights.size(); ++j) {
+    weights[j] = 1.0 + 0.1 * static_cast<double>(j % 7);
+  }
+  for (const std::uint64_t n : {9u, 1000u, 8u * 1024u, 12000u}) {
+    SCOPED_TRACE(n);
+    expect_table_matches_cascade(weights, n, 40 + n);
+  }
+}
+
+TEST(TableCounting, ZeroWeightSlotsNeverCount) {
+  // k = 64 with every fourth slot and the last slot at weight zero: the
+  // compact table must never land on them, at any n.
+  std::vector<double> weights(64);
+  for (std::size_t j = 0; j < weights.size(); ++j) {
+    weights[j] = (j % 4 == 1 || j + 1 == weights.size())
+                     ? 0.0
+                     : 1.0 + static_cast<double>(j % 5);
+  }
+  AliasCounter table;
+  table.rebuild(weights);
+  ASSERT_EQ(table.support_size(), 47u);
+  for (const std::uint64_t n : {9u, 8u * 47u, 1000u}) {
+    SCOPED_TRACE(n);
+    expect_table_matches_cascade(weights, n, 60 + n);
+  }
+}
+
+TEST(TableCounting, AddsToExistingCountsAndRejectsBadWeights) {
+  AliasCounter table;
+  table.rebuild(std::vector<double>{0.0, 2.0, 0.0});
+  Rng rng(27);
+  std::vector<std::uint64_t> out{5, 1, 0};
+  table.add_counts(rng, 10, out);
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{5, 11, 0}));
+  EXPECT_THROW(table.rebuild(std::vector<double>{0.0, 0.0}),
+               std::invalid_argument);
+  EXPECT_THROW(table.rebuild(std::vector<double>{1.0, -1.0}),
+               std::invalid_argument);
+}
+
+TEST(TableCounting, RuleIsAPureFunctionOfTrialsAndSupport) {
+  // constexpr in (n, a) alone: no thread count, clock or law width enters.
+  static_assert(prefer_table_counting(0, 1));
+  static_assert(prefer_table_counting(8, 1));
+  static_assert(!prefer_table_counting(9, 1));
+  static_assert(prefer_table_counting(8 * 1024, 1024));
+  static_assert(!prefer_table_counting(8 * 1024 + 1, 1024));
+  for (const std::size_t a : {1u, 2u, 47u, 1024u, 5000u}) {
+    for (const std::uint64_t n :
+         {std::uint64_t{0}, std::uint64_t{a}, 8 * std::uint64_t{a} - 1,
+          8 * std::uint64_t{a}, 8 * std::uint64_t{a} + 1,
+          100 * std::uint64_t{a}}) {
+      EXPECT_EQ(prefer_table_counting(n, a), n <= kTableCountingFactor * a)
+          << "n " << n << " a " << a;
+    }
+  }
 }
 
 // ---------- Fenwick sampler ----------
