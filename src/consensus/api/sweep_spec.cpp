@@ -84,6 +84,10 @@ std::vector<SweepPoint> SweepSpec::expand_points() const {
   // Shape checks up front: expansion indexes axes by the decomposed flat
   // index, so a malformed grid must fail loudly here, never out-of-bounds.
   if (replications == 0) sweep_error("replications must be positive");
+  if (replications > kMaxReplications) {
+    sweep_error("replications must be at most " +
+                std::to_string(kMaxReplications));
+  }
   for (const SweepAxis& axis : axes) {
     if (axis.name.empty()) sweep_error("axis name must be non-empty");
     if (axis.points.empty()) {

@@ -27,6 +27,11 @@
 
 namespace consensus::api {
 
+/// Largest replication count one job may ask for: a sweep's
+/// `replications` and a served scenario's `?reps=`. A larger count is
+/// rejected up front rather than failing later on allocation.
+inline constexpr std::size_t kMaxReplications = 1'000'000;
+
 /// One named sweep axis: a label plus per-point partial-spec overrides.
 struct SweepAxis {
   std::string name;
@@ -66,8 +71,9 @@ struct SweepSpec {
   std::size_t num_trials() const { return num_points() * replications; }
 
   /// Throws std::invalid_argument when the sweep shape is inconsistent
-  /// (empty axis, zip length mismatch, replications == 0) or any expanded
-  /// point fails ScenarioSpec validation.
+  /// (empty axis, zip length mismatch, replications outside
+  /// [1, kMaxReplications]) or any expanded point fails ScenarioSpec
+  /// validation.
   void validate() const;
 
   /// Expands the grid into validated per-point specs, in trial order.

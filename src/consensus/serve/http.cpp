@@ -199,6 +199,11 @@ std::string HttpRequest::query_value(const std::string& key,
   return it == query.end() ? fallback : it->second;
 }
 
+bool HttpRequest::wants_close() const {
+  const auto it = headers.find("connection");
+  return it != headers.end() && to_lower(it->second) == "close";
+}
+
 bool read_request(support::TcpStream& stream, HttpRequest* request,
                   std::size_t max_body) {
   StreamReader reader(stream);

@@ -30,6 +30,10 @@ struct HttpRequest {
   /// Query parameter or `fallback` when absent.
   std::string query_value(const std::string& key,
                           const std::string& fallback = "") const;
+
+  /// True when the client sent `Connection: close` (in any case): the
+  /// server closes the connection once this request is answered.
+  bool wants_close() const;
 };
 
 /// Parses a whole unsigned `text` (surrounding whitespace allowed) in
@@ -48,7 +52,8 @@ std::string_view status_reason(int status) noexcept;
 /// Extra response headers, e.g. {{"Retry-After", "1"}} on a 503.
 using HttpHeaders = std::vector<std::pair<std::string, std::string>>;
 
-/// Fixed-length response (Content-Length framing), connection kept open.
+/// Fixed-length response (Content-Length framing). Leaves the connection
+/// open; whether another request follows is the caller's decision.
 void write_response(support::TcpStream& stream, int status,
                     std::string_view content_type, std::string_view body,
                     const HttpHeaders& extra_headers = {});

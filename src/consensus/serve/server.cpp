@@ -1,8 +1,10 @@
 #include "consensus/serve/server.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "consensus/api/sweep_runner.hpp"
 #include "consensus/experiment/shard.hpp"
@@ -91,6 +93,30 @@ std::string sanitize_name(const std::string& name) {
   return out;
 }
 
+/// Answers a connection over Server::kMaxConnections on the accepting
+/// thread: 503 with a Retry-After hint, then a short, bounded drain of the
+/// request before closing. Closing with unread bytes would send a reset,
+/// which can destroy the 503 before the client reads it.
+void refuse_connection(support::TcpStream& stream) {
+  constexpr int kDrainTimeoutMs = 100;
+  constexpr std::size_t kMaxDrainBytes = 64u << 10;
+  try {
+    stream.set_recv_timeout(kDrainTimeoutMs);
+    write_response(stream, 503, "application/json",
+                   error_body("too many connections, retry later"),
+                   {{"Retry-After", "1"}, {"Connection", "close"}});
+    stream.shutdown_write();
+    char buffer[4096];
+    for (std::size_t drained = 0; drained < kMaxDrainBytes;) {
+      const std::size_t got = stream.read_some(buffer, sizeof(buffer));
+      if (got == 0) break;  // the client closed its side too
+      drained += got;
+    }
+  } catch (const std::exception&) {
+    // A client that stalls or vanishes is simply closed.
+  }
+}
+
 }  // namespace
 
 Server::Server(ServerOptions options)
@@ -130,14 +156,12 @@ void Server::stop() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  std::vector<std::thread> conns;
+  std::vector<std::unique_ptr<Connection>> conns;
   {
     const std::lock_guard<std::mutex> lock(conn_mutex_);
-    conns.swap(conn_threads_);
+    conns.swap(conns_);
   }
-  for (std::thread& conn : conns) {
-    if (conn.joinable()) conn.join();
-  }
+  for (const std::unique_ptr<Connection>& conn : conns) conn->thread.join();
   {
     const std::lock_guard<std::mutex> lock(stopped_mutex_);
     stop_requested_ = true;
@@ -154,12 +178,32 @@ void Server::accept_loop() {
   for (;;) {
     support::TcpStream stream = listener_->accept();
     if (!stream.valid()) return;  // listener closed: shutting down
+    std::unique_lock<std::mutex> lock(conn_mutex_);
+    // Join finished handlers first: their threads have exited or are
+    // about to, and each one joined gives its stack back.
+    std::erase_if(conns_, [](const std::unique_ptr<Connection>& conn) {
+      const bool done = conn->done.load(std::memory_order_acquire);
+      if (done) conn->thread.join();
+      return done;
+    });
+    if (conns_.size() >= kMaxConnections) {
+      lock.unlock();
+      metrics_.add("http_connections_refused");
+      refuse_connection(stream);
+      continue;
+    }
     stream.set_recv_timeout(options_.recv_timeout_ms);
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    conn_threads_.emplace_back(
-        [this, s = std::move(stream)]() mutable {
-          handle_connection(std::move(s));
-        });
+    Connection& conn = *conns_.emplace_back(std::make_unique<Connection>());
+    try {
+      conn.thread = std::thread([this, &conn, s = std::move(stream)]() mutable {
+        handle_connection(std::move(s));
+        conn.done.store(true, std::memory_order_release);
+      });
+    } catch (const std::system_error&) {
+      // No thread to be had: drop this connection, keep accepting.
+      conns_.pop_back();
+      metrics_.add("http_connection_errors");
+    }
   }
 }
 
@@ -169,6 +213,7 @@ void Server::handle_connection(support::TcpStream stream) {
     while (read_request(stream, &request)) {
       metrics_.add("http_requests");
       handle_request(stream, request);
+      if (request.wants_close()) return;
     }
   } catch (const std::exception&) {
     // Malformed framing, recv timeout, or a peer that vanished — drop the
@@ -228,8 +273,11 @@ void Server::handle_submit(support::TcpStream& stream,
       (void)api::ScenarioSpec::from_json_text(job_request.spec_text);
       job_request.replications =
           parse_size(request.query_value("reps", "1"), 10, "reps");
-      if (job_request.replications == 0) {
-        throw std::invalid_argument("reps must be >= 1");
+      if (job_request.replications == 0 ||
+          job_request.replications > api::kMaxReplications) {
+        throw std::invalid_argument(
+            "reps must be between 1 and " +
+            std::to_string(api::kMaxReplications));
       }
     } else {
       (void)api::SweepSpec::from_json_text(job_request.spec_text);
@@ -400,6 +448,16 @@ void Server::handle_metrics(support::TcpStream& stream,
   metrics_.set_gauge("jobs_queued", static_cast<double>(queue_.queued()));
   metrics_.set_gauge("jobs_running",
                      static_cast<double>(jobs_running_.load()));
+  {
+    const std::lock_guard<std::mutex> lock(conn_mutex_);
+    metrics_.set_gauge(
+        "http_connections_open",
+        static_cast<double>(std::count_if(
+            conns_.begin(), conns_.end(),
+            [](const std::unique_ptr<Connection>& conn) {
+              return !conn->done.load(std::memory_order_acquire);
+            })));
+  }
   if (uptime > 0) {
     metrics_.set_gauge("rounds_per_sec",
                        static_cast<double>(

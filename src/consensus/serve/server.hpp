@@ -21,6 +21,13 @@
 //   GET  /metrics[?format=json] counters/gauges (support::Metrics)
 //   GET  /healthz              liveness probe
 //
+// Connections: each one is served by its own thread, which exits when the
+// peer closes, the request asked for `Connection: close`, or the receive
+// timeout fires. The accept loop joins finished threads before admitting
+// the next socket, and above kMaxConnections live connections it answers
+// 503 (Retry-After: 1) on the accepting thread instead of starting one, so
+// threads and their stacks stay bounded however many clients come and go.
+//
 // Deadlines: POST .../?timeout_s=S arms an execution budget when the job
 // starts running; expiry cancels the job cooperatively and its stream ends
 // with a terminal "deadline" summary — the warm worker is freed, readers
@@ -72,6 +79,9 @@ struct ServerOptions {
 
 class Server {
  public:
+  /// Live connections served at once; the next one is refused with 503.
+  static constexpr std::size_t kMaxConnections = 64;
+
   explicit Server(ServerOptions options);
   ~Server();
 
@@ -95,6 +105,13 @@ class Server {
   const ServerOptions& options() const noexcept { return options_; }
 
  private:
+  /// One connection's handler thread; `done` is its last write, so a set
+  /// flag means join() returns at once.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void accept_loop();
   void worker_loop();
   void handle_connection(support::TcpStream stream);
@@ -118,7 +135,7 @@ class Server {
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
   std::mutex conn_mutex_;
-  std::vector<std::thread> conn_threads_;
+  std::vector<std::unique_ptr<Connection>> conns_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> jobs_running_{0};
   std::chrono::steady_clock::time_point started_at_;

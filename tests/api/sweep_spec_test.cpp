@@ -122,6 +122,13 @@ TEST(SweepSpec, RejectsBadShapes) {
   no_reps.replications = 0;
   EXPECT_THROW(no_reps.validate(), std::invalid_argument);
 
+  SweepSpec most_reps = small_grid();
+  most_reps.replications = kMaxReplications;
+  EXPECT_NO_THROW(most_reps.validate());
+  SweepSpec too_many_reps = small_grid();
+  too_many_reps.replications = kMaxReplications + 1;
+  EXPECT_THROW(too_many_reps.validate(), std::invalid_argument);
+
   SweepSpec empty_axis = small_grid();
   empty_axis.axes[0].points.clear();
   EXPECT_THROW(empty_axis.validate(), std::invalid_argument);

@@ -177,14 +177,23 @@ TEST(Server, MalformedIntegerParametersAreRejectedWith400) {
   server.start();
   const std::string spec = tiny_scenario().to_json_text();
   // A sign, trailing junk, or a value past 2^64 − 1 is the submitter's
-  // 400 — never a wrapped count that the job later fails on.
-  for (const char* reps : {"-1", "5x", "18446744073709551616"}) {
+  // 400 — never a wrapped count that the job later fails on. So is a
+  // count above api::kMaxReplications, and the answer names the limit.
+  for (const char* reps :
+       {"-1", "5x", "18446744073709551616", "18446744073709551615"}) {
     const HttpResponse response =
         http_request("127.0.0.1", server.port(), "POST",
                      std::string("/scenario?reps=") + reps, spec);
     EXPECT_EQ(response.status, 400) << "reps=" << reps << ": "
                                     << response.body;
   }
+  const HttpResponse too_many = http_request(
+      "127.0.0.1", server.port(), "POST",
+      "/scenario?reps=" + std::to_string(api::kMaxReplications + 1), spec);
+  EXPECT_EQ(too_many.status, 400);
+  EXPECT_NE(too_many.body.find(std::to_string(api::kMaxReplications)),
+            std::string::npos)
+      << too_many.body;
   const std::uint64_t job = submit(server.port(), "/scenario", spec);
   const std::string path = "/jobs/" + std::to_string(job);
   EXPECT_EQ(http_request("127.0.0.1", server.port(), "GET", path + "?from=-1")
